@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contingency import ROWS, CorrespondenceModel, _check_axis
+from .contingency import CorrespondenceModel, _profile_deviations
 from .decomposition import (
     CA,
-    RANK_RTOL,
     FactorDecomposition,
     empty_decomposition,
+    numerical_rank,
     orient_axes,
     resolve_k,
     standardized_residual,
@@ -43,17 +43,14 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
     ValueError
         If ``k`` exceeds the numerical rank.
     """
-    S = standardized_residual(model)
-    U, s, Vt = np.linalg.svd(S, full_matrices=False)
-    # sigma values are canonical correlations in [0, 1]: a leading value at or
-    # below the absolute floor is independence-table rounding noise (rank 0)
-    rank = 0 if s.size == 0 or s[0] <= RANK_RTOL else int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    rank = numerical_rank(model)
     if rank == 0:
         return empty_decomposition(model, CA)
     k = resolve_k(k, rank)
     if k == 0:
         return empty_decomposition(model, CA)
 
+    U, s, Vt = np.linalg.svd(standardized_residual(model), full_matrices=False)
     row_scores = s[:k] * U[:, :k] / np.sqrt(model.r)[:, None]
     col_scores = s[:k] * Vt[:k].T / np.sqrt(model.c)[:, None]
     orient_axes(row_scores, col_scores)
@@ -68,6 +65,16 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
     )
 
 
+def _benzecri_distances(
+    model: CorrespondenceModel, axis: str, points=slice(None)
+) -> np.ndarray:
+    """Squared chi-square distances of the selected profiles on ``axis``."""
+    deviations, barycenter = _profile_deviations(model, axis, points)
+    deviations **= 2
+    deviations /= barycenter
+    return deviations.sum(axis=1)
+
+
 def benzecri_distance(model: CorrespondenceModel, axis: str, index: int) -> float:
     """Squared chi-square distance of one profile from its barycenter.
 
@@ -75,12 +82,7 @@ def benzecri_distance(model: CorrespondenceModel, axis: str, index: int) -> floa
     The squared distance is returned, matching the dist^2 convention of the
     diagnostic tables.
     """
-    _check_axis(axis)
-    if axis == ROWS:
-        deviation = model.P[index] / model.r[index] - model.c
-        return float(np.sum(deviation**2 / model.c))
-    deviation = model.P[:, index] / model.c[index] - model.r
-    return float(np.sum(deviation**2 / model.r))
+    return float(_benzecri_distances(model, axis, [index])[0])
 
 
 def ca_total_inertia(model: CorrespondenceModel) -> float:
@@ -93,15 +95,22 @@ def ca_total_inertia(model: CorrespondenceModel) -> float:
     return float(np.sum(model.D**2 / np.outer(model.r, model.c)))
 
 
+def _embedded_sq_distances(
+    dec: FactorDecomposition, axis: str, d: int, points=slice(None)
+) -> np.ndarray:
+    """Squared distances of the selected points in the first ``d`` axes."""
+    if dec.method != CA:
+        raise ValueError("embedded_sq_distance requires a CA decomposition")
+    if not 1 <= d <= dec.k:
+        raise ValueError(f"d must be in [1, {dec.k}], got {d}")
+    # one row-wise sum per prefix; a cumsum over axes would round differently
+    return (dec.scores(axis)[points, :d] ** 2).sum(axis=1)
+
+
 def embedded_sq_distance(dec: FactorDecomposition, axis: str, index: int, d: int) -> float:
     """Squared distance in the first ``d`` axes: ``sum_{alpha<=d} f_alpha**2``.
 
     Non-decreasing in ``d``; never exceeds the squared chi-square distance,
     with equality at ``d == rank``.
     """
-    if dec.method != CA:
-        raise ValueError("embedded_sq_distance requires a CA decomposition")
-    if not 1 <= d <= dec.k:
-        raise ValueError(f"d must be in [1, {dec.k}], got {d}")
-    scores = dec.scores(axis)[index, :d]
-    return float(np.sum(scores**2))
+    return float(_embedded_sq_distances(dec, axis, d, [index])[0])

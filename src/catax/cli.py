@@ -30,16 +30,14 @@ from .distortion import (
     distortion_report,
     intrinsic_dimension_bounds,
 )
-from .report import emit_report, report_to_dict
+from .report import _FORMATS, emit_report, report_to_dict
 from .svgmap import emit_map
-from .tca import tca_decompose, tca_total_dispersion
+from .tca import _STRATEGIES, tca_decompose, tca_total_dispersion
 
 __all__ = ["AnalysisConfig", "build_parser", "run", "main"]
 
 _METHODS = ("ca", "tca", "both")
 _AXES = ("rows", "cols", "both")
-_STRATEGIES = ("auto", "exhaustive", "iterative")
-_FORMATS = ("tsv", "json")
 
 
 @dataclass(frozen=True)

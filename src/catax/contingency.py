@@ -14,6 +14,7 @@ import io
 import logging
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -142,6 +143,42 @@ class CorrespondenceModel:
     def weights(self, axis: str) -> np.ndarray:
         """Marginal weight vector of the requested axis (``r`` or ``c``)."""
         return self.r if _check_axis(axis) == ROWS else self.c
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of :func:`standardized_residual`, non-increasing.
+
+        Computed on first access and kept, so every rank decision on this
+        model reads the same values.  Only the values are kept: the singular
+        vectors would add a matrix the size of ``D`` to every model.
+        """
+        return _freeze(np.linalg.svd(standardized_residual(self), compute_uv=False))
+
+
+def standardized_residual(model: CorrespondenceModel) -> np.ndarray:
+    """``S = D / sqrt(outer(r, c))``, whose plain SVD yields the CA solution."""
+    return model.D / np.sqrt(np.outer(model.r, model.c))
+
+
+def _profile_deviations(
+    model: CorrespondenceModel, axis: str, points=slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deviations of profiles from their barycenter, and the barycenter.
+
+    Row ``k`` of the first result is ``profile(model, axis, i) - barycenter``
+    for the ``k``-th point ``i`` selected by ``points`` (a slice or a list of
+    indices).  The result is a fresh C-contiguous array, so callers may
+    transform it in place and reduce along axis 1 in the same summation order
+    as a single profile.
+    """
+    if _check_axis(axis) == ROWS:
+        deviations = model.P[points] / model.r[points, None]
+        barycenter = model.c
+    else:
+        deviations = np.divide(model.P.T[points], model.c[points, None], order="C")
+        barycenter = model.r
+    deviations -= barycenter
+    return deviations, barycenter
 
 
 def _detect_delimiter(sample: str) -> str:

@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import COLS, ROWS, CorrespondenceModel, _check_axis, _freeze
+from .contingency import (
+    ROWS,
+    CorrespondenceModel,
+    _check_axis,
+    _freeze,
+    standardized_residual,
+)
 
 __all__ = ["FactorDecomposition", "standardized_residual", "numerical_rank"]
 
@@ -86,11 +92,6 @@ class FactorDecomposition:
         return self.row_scores if _check_axis(axis) == ROWS else self.col_scores
 
 
-def standardized_residual(model: CorrespondenceModel) -> np.ndarray:
-    """``S = D / sqrt(outer(r, c))``, whose plain SVD yields the CA solution."""
-    return model.D / np.sqrt(np.outer(model.r, model.c))
-
-
 def numerical_rank(model: CorrespondenceModel) -> int:
     """Rank of ``D`` counted as singular values above ``1e-12 * sigma_1``.
 
@@ -98,9 +99,11 @@ def numerical_rank(model: CorrespondenceModel) -> int:
     The singular values of the standardized residual are canonical
     correlations, so they live in ``[0, 1]``; a leading value below the
     absolute floor ``1e-12`` is rounding noise from an independence table
-    and counts as rank 0.
+    and counts as rank 0.  The values come from
+    ``model.singular_values``, which is computed once per model, so repeated
+    calls on one model cost no further factorization.
     """
-    s = np.linalg.svd(standardized_residual(model), compute_uv=False)
+    s = model.singular_values
     if s.size == 0 or s[0] <= RANK_RTOL:
         return 0
     return int(np.count_nonzero(s > RANK_RTOL * s[0]))

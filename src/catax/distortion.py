@@ -20,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .ca import benzecri_distance, embedded_sq_distance
+from .ca import _benzecri_distances, _embedded_sq_distances
 from .contingency import CorrespondenceModel, _check_axis, _freeze
 from .decomposition import CA, TCA, FactorDecomposition
-from .tca import embedded_l1_distance, taxicab_distance
+from .tca import _embedded_l1_distances, _taxicab_distances
 
 __all__ = [
     "CONTRACTION",
@@ -45,19 +45,30 @@ STRETCHING = "Stretching"
 DEFAULT_REL_TOL = 1e-9
 
 
-def classify(raw: float, embedded: float, rel_tol: float = DEFAULT_REL_TOL) -> str:
+def classify(
+    raw: float | np.ndarray, embedded: float | np.ndarray, rel_tol: float = DEFAULT_REL_TOL
+) -> str | np.ndarray:
     """Compare a raw distance with its embedded counterpart.
 
     Within ``rel_tol * raw`` of each other -> isometry; below -> contraction;
     above -> stretching.  A point sitting on the barycenter (``raw == 0``)
     is an isometry by convention (its embedded distance is 0 too); such
     points are excluded from the distortion constants.
+
+    Arguments broadcast against each other: two scalars give one label
+    (a ``str``), arrays give an ndarray of labels.
     """
-    if raw < 0 or embedded < 0:
+    raw = np.asarray(raw, dtype=float)
+    embedded = np.asarray(embedded, dtype=float)
+    if np.any(raw < 0) or np.any(embedded < 0):
         raise ValueError("distances must be nonnegative")
-    if raw == 0 or abs(embedded - raw) <= rel_tol * raw:
-        return ISOMETRY
-    return CONTRACTION if embedded < raw else STRETCHING
+    isometry = (raw == 0) | (np.abs(embedded - raw) <= rel_tol * raw)
+    # one small label table indexed by code: a nested where over labels would
+    # build two full string arrays
+    labels = np.array([CONTRACTION, ISOMETRY, STRETCHING])[
+        np.where(isometry, 1, np.where(embedded < raw, 0, 2))
+    ]
+    return labels.item() if labels.ndim == 0 else labels
 
 
 @dataclass(frozen=True)
@@ -75,8 +86,9 @@ class DistortionReport:
         Squared chi-square distance (CA) or taxicab distance (TCA).
     embedded : (n, len(dims)) ndarray
         Cumulative embedded distance per point and dimension.
-    classification : tuple of tuple of str
-        Per point, per dimension.
+    classification : (n, len(dims)) ndarray of str
+        Per point, per dimension: one of ``CONTRACTION``, ``ISOMETRY`` or
+        ``STRETCHING``.
     admissible : (n, len(dims)) ndarray of bool
         Points entering the constants at each dimension: nonzero raw and
         nonzero embedded distance.
@@ -101,7 +113,7 @@ class DistortionReport:
     dims: tuple[int, ...]
     raw: np.ndarray
     embedded: np.ndarray
-    classification: tuple[tuple[str, ...], ...]
+    classification: np.ndarray
     admissible: np.ndarray
     weights: np.ndarray
     weighted_average_raw: float
@@ -113,9 +125,10 @@ class DistortionReport:
     def __post_init__(self) -> None:
         for field in ("raw", "embedded", "weights"):
             object.__setattr__(self, field, _freeze(getattr(self, field)))
-        admissible = np.asarray(self.admissible, dtype=bool)
-        admissible.flags.writeable = False
-        object.__setattr__(self, "admissible", admissible)
+        for field, dtype in (("classification", str), ("admissible", bool)):
+            frozen = np.array(getattr(self, field), dtype=dtype)
+            frozen.flags.writeable = False
+            object.__setattr__(self, field, frozen)
 
 
 def _constants(
@@ -162,21 +175,15 @@ def distortion_report(
 
     labels = model.labels(axis)
     weights = model.weights(axis)
-    n = len(labels)
     if dec.method == CA:
-        raw_of = benzecri_distance
-        embedded_of = embedded_sq_distance
+        raw_of = _benzecri_distances
+        embedded_of = _embedded_sq_distances
     else:
-        raw_of = taxicab_distance
-        embedded_of = embedded_l1_distance
-    raw = np.array([raw_of(model, axis, i) for i in range(n)])
-    embedded = np.array(
-        [[embedded_of(dec, axis, i, d) for d in dims] for i in range(n)]
-    )
-    classification = tuple(
-        tuple(classify(raw[i], embedded[i, j], rel_tol) for j in range(len(dims)))
-        for i in range(n)
-    )
+        raw_of = _taxicab_distances
+        embedded_of = _embedded_l1_distances
+    raw = raw_of(model, axis)
+    embedded = np.column_stack([embedded_of(dec, axis, d) for d in dims])
+    classification = classify(raw[:, None], embedded, rel_tol)
     admissible = (raw > 0)[:, None] & (embedded > 0)
     constants = tuple(
         _constants(raw, embedded[:, j], admissible[:, j], dec.method, d, dec.rank)

@@ -30,7 +30,7 @@ def report_to_dict(
             "label": label,
             "raw": float(report.raw[i]),
             "embedded": [float(x) for x in report.embedded[i]],
-            "classification": list(report.classification[i]),
+            "classification": report.classification[i].tolist(),
             "admissible": [bool(x) for x in report.admissible[i]],
         }
         for i, label in enumerate(report.labels)
@@ -97,7 +97,7 @@ def emit_report(
     for i, label in enumerate(report.labels):
         cells = [label, f"{report.raw[i]:.4f}"]
         cells += [f"{x:.4f}" for x in report.embedded[i]]
-        cells += list(report.classification[i])
+        cells += report.classification[i].tolist()
         lines.append("\t".join(cells))
     lines.append(
         "\t".join(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import ROWS, CorrespondenceModel, _check_axis, _freeze
+from .contingency import CorrespondenceModel, _freeze, _profile_deviations
 from .decomposition import (
     TCA,
     FactorDecomposition,
@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 EXHAUSTIVE_LIMIT = 20
+
+_STRATEGIES = ("auto", "exhaustive", "iterative")
 
 # Principal values below this are treated as an exhausted residual.
 _DELTA_FLOOR = 1e-12
@@ -82,15 +84,17 @@ class TsvdStepResult:
         object.__setattr__(self, "v", _freeze(self.v))
 
 
-def _code_to_signs(code: int, m: int) -> np.ndarray:
-    """Sign vector for an enumeration code: first component +1, remaining
-    bits most-significant-first with 0 -> -1, so ascending codes enumerate
-    vectors in lexicographic order (-1 before +1)."""
-    x = np.ones(m)
-    for pos in range(1, m):
-        if not (code >> (m - 1 - pos)) & 1:
-            x[pos] = -1.0
-    return x
+def _signs(codes: np.ndarray, m: int) -> np.ndarray:
+    """Sign vectors for enumeration codes, one row per code.
+
+    The first component is +1; the remaining bits, most significant first,
+    give the other components with 0 -> -1, so ascending codes enumerate
+    vectors in lexicographic order (-1 before +1).
+    """
+    shifts = np.arange(m - 2, -1, -1, dtype=np.uint64)
+    X = np.ones((codes.size, m))
+    X[:, 1:] = 2.0 * ((codes.astype(np.uint64)[:, None] >> shifts) & 1) - 1.0
+    return X
 
 
 def _enumerate_max(M: np.ndarray) -> np.ndarray:
@@ -104,15 +108,10 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     npoints, m = M.shape
     total = 1 << (m - 1)
     chunk = int(max(1, min(_SHORTLIST_CAP, (1 << 24) // max(1, npoints))))
-    shifts = np.arange(m - 2, -1, -1, dtype=np.uint64)
     vals = np.empty(total)
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        codes = np.arange(lo, hi, dtype=np.uint64)
-        X = np.ones((hi - lo, m))
-        if m > 1:
-            X[:, 1:] = 2.0 * ((codes[:, None] >> shifts[None, :]) & 1) - 1.0
-        vals[lo:hi] = np.abs(M @ X.T).sum(axis=0)
+        vals[lo:hi] = np.abs(M @ _signs(np.arange(lo, hi), m).T).sum(axis=0)
     best = float(vals.max())
     if best < _DELTA_FLOOR:
         return np.ones(m)  # exhausted residual: every class ties at ~0
@@ -121,13 +120,9 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
         head = candidates[:_SHORTLIST_CAP]
         argmax = int(np.argmax(vals))
         candidates = head if argmax in head else np.append(head, argmax)
-    winner, winner_val = None, -np.inf
-    for code in candidates:
-        x = _code_to_signs(int(code), m)
-        val = float(np.abs(M @ x).sum())
-        if val > winner_val:
-            winner, winner_val = x, val
-    return winner
+    X = _signs(candidates, m)
+    rescored = [float(np.abs(M @ x).sum()) for x in X]
+    return X[int(np.argmax(rescored))]  # first maximum: lexicographic tie-break
 
 
 def tsvd_step_exhaustive(residual: np.ndarray) -> TsvdStepResult:
@@ -163,7 +158,8 @@ def _criss_cross(R: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         if np.array_equal(u_next, u):
             break
         obj_next = float(np.abs(R @ u_next).sum())
-        assert obj_next >= obj - 1e-12, "criss-cross ascent decreased the objective"
+        if obj_next < obj - 1e-12:
+            raise ArithmeticError("criss-cross ascent decreased the objective")
         if obj_next <= obj:  # plateau on a tie structure; no further progress
             break
         u, obj = u_next, obj_next
@@ -251,7 +247,7 @@ def tca_decompose(
     if the table permits, so a spurious increase from an undershot heuristic
     is never kept when it can be checked.
     """
-    if strategy not in ("auto", "exhaustive", "iterative"):
+    if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     rank = numerical_rank(model)
     k = resolve_k(k, rank)
@@ -305,15 +301,20 @@ def tca_decompose(
     )
 
 
+def _taxicab_distances(
+    model: CorrespondenceModel, axis: str, points=slice(None)
+) -> np.ndarray:
+    """Taxicab distances of the selected profiles on ``axis``."""
+    deviations, _ = _profile_deviations(model, axis, points)
+    return np.abs(deviations, out=deviations).sum(axis=1)
+
+
 def taxicab_distance(model: CorrespondenceModel, axis: str, index: int) -> float:
     """L1 distance of one profile from its barycenter.
 
     Rows: ``sum_j |p_ij/p_i+ - p_+j|``; columns symmetrically.
     """
-    _check_axis(axis)
-    if axis == ROWS:
-        return float(np.abs(model.P[index] / model.r[index] - model.c).sum())
-    return float(np.abs(model.P[:, index] / model.c[index] - model.r).sum())
+    return float(_taxicab_distances(model, axis, [index])[0])
 
 
 def tca_total_dispersion(model: CorrespondenceModel) -> float:
@@ -326,14 +327,22 @@ def tca_total_dispersion(model: CorrespondenceModel) -> float:
     return float(np.abs(model.D).sum())
 
 
+def _embedded_l1_distances(
+    dec: FactorDecomposition, axis: str, d: int, points=slice(None)
+) -> np.ndarray:
+    """L1 distances of the selected points in the first ``d`` axes."""
+    if dec.method != TCA:
+        raise ValueError("embedded_l1_distance requires a TCA decomposition")
+    if not 1 <= d <= dec.k:
+        raise ValueError(f"d must be in [1, {dec.k}], got {d}")
+    # one row-wise sum per prefix; a cumsum over axes would round differently
+    return np.abs(dec.scores(axis)[points, :d]).sum(axis=1)
+
+
 def embedded_l1_distance(dec: FactorDecomposition, axis: str, index: int, d: int) -> float:
     """L1 distance in the first ``d`` axes: ``sum_{alpha<=d} |f_alpha|``.
 
     Non-decreasing in ``d``; at ``d = 1`` it never exceeds the taxicab
     distance, while the full-rank sum never falls below it.
     """
-    if dec.method != TCA:
-        raise ValueError("embedded_l1_distance requires a TCA decomposition")
-    if not 1 <= d <= dec.k:
-        raise ValueError(f"d must be in [1, {dec.k}], got {d}")
-    return float(np.abs(dec.scores(axis)[index, :d]).sum())
+    return float(_embedded_l1_distances(dec, axis, d, [index])[0])

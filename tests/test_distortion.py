@@ -18,12 +18,15 @@ from catax import (
     classify,
     distortion_constants,
     distortion_report,
+    embedded_l1_distance,
+    embedded_sq_distance,
     intrinsic_dimension_bounds,
+    profile,
     taxicab_distance,
     tca_decompose,
     tca_total_dispersion,
 )
-from conftest import random_models
+from conftest import random_models, table_from_counts
 
 
 def test_classify_published_pairs():
@@ -60,25 +63,51 @@ def test_classify_scale_equivariant(raw, embedded, scale):
 
 
 def _expected_raw(model, method, axis, index):
+    # one profile at a time, in the summation order of a single row
+    barycenter = model.weights(COLS if axis == ROWS else ROWS)
+    deviation = profile(model, axis, index) - barycenter
     if method == "CA":
-        return benzecri_distance(model, axis, index)
-    return taxicab_distance(model, axis, index)
+        expected = float(np.sum(deviation**2 / barycenter))
+        assert benzecri_distance(model, axis, index) == expected
+    else:
+        expected = float(np.abs(deviation).sum())
+        assert taxicab_distance(model, axis, index) == expected
+    return expected
+
+
+def _expected_embedded(dec, axis, index, d):
+    scores = dec.scores(axis)[index, :d]
+    if dec.method == "CA":
+        expected = float(np.sum(scores**2))
+        assert embedded_sq_distance(dec, axis, index, d) == expected
+    else:
+        expected = float(np.abs(scores).sum())
+        assert embedded_l1_distance(dec, axis, index, d) == expected
+    return expected
+
+
+def _rank9_model():
+    # rank >= 8 reaches the prefix lengths where a cumulative sum over axes
+    # rounds differently from a fresh sum of each prefix
+    counts = np.random.default_rng(8).integers(1, 11, size=(12, 10))
+    return build_model(table_from_counts(counts))
 
 
 @pytest.mark.parametrize("method", ["CA", "TCA"])
 @pytest.mark.parametrize("axis", [ROWS, COLS])
 def test_report_contents_random(method, axis, models30):
-    for model in models30[:8]:
+    for model in models30[:8] + [_rank9_model()]:
         dec = ca_decompose(model) if method == "CA" else tca_decompose(model)
         dims = list(range(1, dec.k + 1))
         report = distortion_report(model, dec, axis, dims)
         n = len(model.labels(axis))
         assert report.embedded.shape == (n, len(dims))
         for i in range(n):
-            assert report.raw[i] == pytest.approx(_expected_raw(model, method, axis, i), abs=1e-12)
+            assert report.raw[i] == _expected_raw(model, method, axis, i)
             diffs = np.diff(report.embedded[i])
             assert np.all(diffs >= -1e-12)  # embedded non-decreasing in d
-            for j in range(len(dims)):
+            for j, d in enumerate(dims):
+                assert report.embedded[i, j] == _expected_embedded(dec, axis, i, d)
                 assert report.classification[i][j] == classify(
                     report.raw[i], report.embedded[i, j]
                 )
@@ -88,6 +117,19 @@ def test_report_contents_random(method, axis, models30):
                 for j, d in enumerate(dims):
                     if d < dec.rank:
                         assert report.classification[i][j] != STRETCHING
+    assert dec.rank >= 8  # the last model reached d >= 8
+
+
+def test_report_classification_columns(models30):
+    model = models30[0]
+    for dec in (ca_decompose(model), tca_decompose(model)):
+        report = distortion_report(model, dec, ROWS, range(1, dec.k + 1))
+        for j in range(len(report.dims)):
+            column = report.classification[:, j]
+            assert not column.flags.writeable
+            expected = classify(report.raw, report.embedded[:, j])
+            assert column.tolist() == expected.tolist()
+        assert report.classification.shape == report.embedded.shape
 
 
 def test_report_footer_identities(models30):
