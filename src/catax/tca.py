@@ -9,8 +9,12 @@ successive axes conjugate (``sum_i f_alpha(i) sign(f_beta(i)) r_i = 0`` for
 ``alpha > beta``); it terminates in exactly ``rank(D)`` steps.
 
 The maximization is combinatorial.  Below the exhaustive threshold the global
-optimum is found by enumerating the 2^(m-1) sign classes of the smaller axis;
-larger problems use criss-cross ascent (``v <- sign(R u)``,
+optimum is found by enumerating the 2^(m-1) sign classes of the smaller axis,
+m <= ``EXHAUSTIVE_LIMIT``: a meet-in-the-middle split of each sign vector
+scores every class of an I x m matrix with O(I * 2^(m-1)) additions, and the
+classes within a window relative to ``sum|R|`` of the best are re-scored
+exactly, ties going to the lexicographically smallest vector.  Larger
+problems use criss-cross ascent (``v <- sign(R u)``,
 ``u <- sign(R^T v)``) from deterministic and seeded random starts.
 """
 
@@ -49,11 +53,22 @@ _STRATEGIES = ("auto", "exhaustive", "iterative")
 # Principal values below this are treated as an exhausted residual.
 _DELTA_FLOOR = 1e-12
 
-# Candidates within this of the enumeration maximum are re-evaluated with the
-# same expression the iterative solver uses, so both solvers' objective values
-# are directly comparable.
-_SHORTLIST_TOL = 1e-9
+# Candidates within this fraction of sum|M| of the enumeration maximum are
+# re-evaluated with the same expression the iterative solver uses, so both
+# solvers' objective values are directly comparable.  The window must exceed
+# the first pass's rounding error, at most about (m + I) * eps * sum|M| for an
+# I x m matrix, so the true maximizer is always re-scored; being relative, it
+# holds on near-independent tables without making every class a candidate.
+_SHORTLIST_RTOL = 1e-9
 _SHORTLIST_CAP = 1 << 16
+
+# The low half of the meet-in-the-middle split covers 2^12 = 4096 contiguous
+# classes: numpy's broadcasting add ran about 4x slower per element on rows
+# shorter than half its 8192-element ufunc buffer (numpy 2.4).
+_LOW_BITS = 12
+# Size of the first pass's scoring block, and the bound on its low-half
+# table, in float64 elements (16 MB).
+_BLOCK_ELEMENTS = 1 << 21
 
 _ASCENT_SLACK = 1e-9
 
@@ -100,25 +115,36 @@ def _signs(codes: np.ndarray, m: int) -> np.ndarray:
 def _enumerate_max(M: np.ndarray) -> np.ndarray:
     """Global maximizer of ``||M x||_1`` over sign classes of x.
 
-    Two passes: chunked matrix products score every class, then candidates
-    within `_SHORTLIST_TOL` of the best are re-scored one by one with
-    ``np.abs(M @ x).sum()``; ties on the re-scored value resolve to the
-    lexicographically smallest vector.
+    Two passes.  The first scores every class by meet in the middle
+    (Horowitz & Sahni, JACM 21(2), 1974): code ``a * 2^l + b`` splits x into a
+    high half (the fixed ``x_0 = +1`` and the ``h`` most significant free
+    bits, code ``a``) and a low half (the other ``l`` bits, code ``b``), so
+    its score is ``sum_i |P[i, a] + Q[i, b]|`` with ``Q = M_l X_l^T`` and
+    ``P = M_h X_h^T``, the latter one block of codes ``a`` at a time, summed
+    in one reused buffer: ``I * 2^(m-1)`` additions in place of the dense
+    ``I * m * 2^(m-1)`` multiply-adds.  The second pass re-scores the
+    classes within `_SHORTLIST_RTOL` of the best, relative to ``sum|M|``,
+    one by one with ``np.abs(M @ x).sum()``; ties on the re-scored value
+    resolve to the lexicographically smallest vector.
     """
     npoints, m = M.shape
-    total = 1 << (m - 1)
-    chunk = int(max(1, min(_SHORTLIST_CAP, (1 << 24) // max(1, npoints))))
-    vals = np.empty(total)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        # X stays bound until the next chunk replaces it: freeing it inside
-        # the scoring expression measured about 4% slower on a 50x20 table
-        X = _signs(np.arange(lo, hi), m)
-        vals[lo:hi] = np.abs(M @ X.T).sum(axis=0)
+    low = min(m - 1, _LOW_BITS, max(0, (_BLOCK_ELEMENTS // npoints).bit_length() - 1))
+    high = m - 1 - low
+    Q = M[:, high + 1 :] @ _signs(np.arange(1 << low), low + 1)[:, 1:].T
+    block = max(1, _BLOCK_ELEMENTS // (npoints << low))
+    buf = np.empty((npoints, min(block, 1 << high), 1 << low))
+    vals = np.empty(1 << (m - 1))  # code order, which is lexicographic order
+    for a0 in range(0, 1 << high, block):
+        a1 = min(a0 + block, 1 << high)
+        P = M[:, : high + 1] @ _signs(np.arange(a0, a1), high + 1).T
+        scores = buf[:, : a1 - a0]
+        np.add(P[:, :, None], Q[:, None, :], out=scores)
+        np.abs(scores, out=scores)
+        scores.sum(axis=0, out=vals[a0 << low : a1 << low].reshape(a1 - a0, 1 << low))
     best = float(vals.max())
     if best < _DELTA_FLOOR:
         return np.ones(m)  # exhausted residual: every class ties at ~0
-    candidates = np.flatnonzero(vals >= best - _SHORTLIST_TOL)
+    candidates = np.flatnonzero(vals >= best - _SHORTLIST_RTOL * np.abs(M).sum())
     if candidates.size > _SHORTLIST_CAP:
         head = candidates[:_SHORTLIST_CAP]
         argmax = int(np.argmax(vals))

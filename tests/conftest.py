@@ -39,9 +39,13 @@ def table_from_counts(counts) -> ContingencyTable:
     )
 
 
-def random_models(count: int, seed: int = CORPUS_SEED) -> list:
+def random_counts(count: int, seed: int = CORPUS_SEED) -> list:
     rng = np.random.default_rng(seed)
-    return [build_model(table_from_counts(make_counts(rng))) for _ in range(count)]
+    return [make_counts(rng) for _ in range(count)]
+
+
+def random_models(count: int, seed: int = CORPUS_SEED) -> list:
+    return [build_model(table_from_counts(counts)) for counts in random_counts(count, seed)]
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +57,12 @@ def models30():
 def suite100():
     """The 100-table corpus the acceptance criteria run on."""
     return random_models(100)
+
+
+@pytest.fixture(scope="session")
+def counts100():
+    """The integer counts of ``suite100``, table for table."""
+    return random_counts(100)
 
 
 def dataset_table(filename: str):

@@ -9,7 +9,7 @@ first TCA principal value stays strictly below the total dispersion
 ``sum|D|`` on rank >= 2 tables unless the residual is sign-separable
 (``sign(D) == outer(v, u)`` on its nonzero entries), where it equals it and
 the intrinsic-dimension bounds are ``(1, 1)``.  ``oracles.sign_separable``
-decides which case a table is in.
+decides which case a table is in, on the exact integer residual of its counts.
 """
 
 import time
@@ -33,7 +33,7 @@ from catax import (
     tsvd_step_iterative,
 )
 from conftest import DATA_DIR, dataset_table
-from oracles import sign_separable
+from oracles import exact_residual, sign_separable
 from test_ca import check_ca_invariants
 from test_tca import check_tca_invariants
 
@@ -93,7 +93,7 @@ def test_criterion_2_invariant_suite(suite100, capsys):
     verdict(capsys, 2, ok, f"failures={len(failures)}, runtime {elapsed:.2f} s")
 
 
-def test_criterion_3_contraction_theorems(suite100, capsys):
+def test_criterion_3_contraction_theorems(suite100, counts100, capsys):
     """CA embeddings contract; TCA's first axis never exceeds the raw distance.
 
     The first TCA principal value obeys ``delta_1 <= T = sum|D|`` on every
@@ -103,13 +103,14 @@ def test_criterion_3_contraction_theorems(suite100, capsys):
     (``sign(D) == outer(v, u)`` on its nonzero entries).  So on rank >= 2
     tables the contraction is strict unless the residual is sign-separable,
     and there ``delta_1 == T``.  Separability is decided by the independent
-    ``oracles.sign_separable``, never by the solver's sign vectors, and
-    each comparison uses the ``1e-12 * max(1, T)`` band of
-    ``intrinsic_dimension_bounds``.
+    ``oracles.sign_separable`` on the table's exact integer residual, never
+    by the solver's sign vectors nor by ``model.D``, whose exact zeros can
+    carry rounding noise; each comparison uses the ``1e-12 * max(1, T)``
+    band of ``intrinsic_dimension_bounds``.
     """
     violations = []
     separable = []
-    for idx, model in enumerate(suite100):
+    for idx, (model, counts) in enumerate(zip(suite100, counts100)):
         rank = numerical_rank(model)
         ca = ca_decompose(model)
         tca = tca_decompose(model)
@@ -127,7 +128,7 @@ def test_criterion_3_contraction_theorems(suite100, capsys):
         delta1 = tca.deltas[0]
         if delta1 > total + band:
             violations.append(f"#{idx} delta1 > T")
-        if sign_separable(model.D):
+        if sign_separable(exact_residual(counts)):
             separable.append(idx)
             if delta1 < total - band:
                 violations.append(f"#{idx} sign-separable but delta1 < T")
@@ -139,25 +140,26 @@ def test_criterion_3_contraction_theorems(suite100, capsys):
     verdict(capsys, 3, not violations, detail)
 
 
-def test_criterion_4_corollary_bounds(suite100, capsys):
+def test_criterion_4_corollary_bounds(suite100, counts100, capsys):
     """Intrinsic-dimension bounds on rank >= 2 tables.
 
     A sign-separable residual has ``delta_1 == sum|D|`` (criterion 3), so
     the cumulative principal values cross the total dispersion exactly at
     ``d = 1`` and the bounds are ``(1, 1)``.  Every other rank >= 2 table
     has ``delta_1 < sum|D|``, hence ``lower >= 1`` and ``upper >= 2``.
-    Separability is decided by ``oracles.sign_separable``.
+    Separability is decided by ``oracles.sign_separable`` on the table's
+    exact integer residual.
     """
     checked = 0
     bad = []
     separable = []
-    for idx, model in enumerate(suite100):
+    for idx, (model, counts) in enumerate(zip(suite100, counts100)):
         dec = tca_decompose(model)
         if dec.rank < 2:
             continue
         checked += 1
         bounds = intrinsic_dimension_bounds(dec.deltas, tca_total_dispersion(model))
-        if sign_separable(model.D):
+        if sign_separable(exact_residual(counts)):
             separable.append(idx)
             ok = (bounds.lower, bounds.upper) == (1, 1)
         else:

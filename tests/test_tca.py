@@ -15,7 +15,14 @@ from catax import (
     tsvd_step_iterative,
 )
 from conftest import random_models, table_from_counts
-from oracles import brute_delta1, dispersion_loop, taxicab_col_loop, taxicab_row_loop
+from oracles import (
+    brute_argmax,
+    brute_delta1,
+    dispersion_loop,
+    exact_residual,
+    taxicab_col_loop,
+    taxicab_row_loop,
+)
 
 DIAG_MODEL = build_model(
     ContingencyTable(("r1", "r2"), ("x", "y"), np.array([[2.0, 0.0], [0.0, 2.0]]))
@@ -103,6 +110,85 @@ def test_exhaustive_on_deflated_residuals(models30):
             assert step.delta == pytest.approx(brute_delta1(R), abs=1e-12)
             check_step_fixed_point(R, step)
             R = R - np.outer(R @ step.u, step.v @ R) / step.delta
+
+
+def brute_step_u(R):
+    """The exhaustive step's ``u`` by brute force on the smaller axis."""
+    I, J = R.shape
+    if J <= I:
+        return brute_argmax(R)
+    v = brute_argmax(R.T)
+    return np.where(R.T @ v >= 0, 1.0, -1.0)  # sign(0) = +1
+
+
+def tie_heavy_matrices(rng, count):
+    """Small-integer matrices, many of whose sign classes tie, and their
+    thirds, whose ties the first pass and the re-score round differently."""
+    matrices = []
+    for _ in range(count):
+        I, J = rng.integers(2, 11, size=2)
+        M = rng.integers(-2, 3, size=(I, J)).astype(float)
+        if M.any():
+            matrices.extend((M, M / 3))
+    return matrices
+
+
+@pytest.fixture(scope="module")
+def exact_vector_cases(models30):
+    """Residuals with their brute-force ``u``: corpus, deflated, shapes, ties."""
+    cases = []
+    for model in models30:
+        R = model.D.copy()
+        for _ in range(3):
+            step = tsvd_step_exhaustive(R)
+            if step.delta < 1e-12:
+                break
+            cases.append(R)
+            R = R - np.outer(R @ step.u, step.v @ R) / step.delta
+    rng = np.random.default_rng(2024)
+    for m in range(1, 16):  # the smaller side; m = 14, 15 split at the defaults
+        M = rng.normal(size=(m + 3, m))
+        cases.extend((M, M.T))
+    cases.extend(tie_heavy_matrices(rng, 20))
+    return [(R, brute_step_u(R)) for R in cases]
+
+
+@pytest.mark.parametrize(
+    "low_bits, block_elements, max_m",
+    [(None, None, 15), (2, 120, 10), (0, 1, 10), (3, 40, 10)],
+    ids=["defaults", "small-blocks", "no-low-half", "low-half-capped-by-block"],
+)
+def test_exhaustive_exact_vector(
+    exact_vector_cases, monkeypatch, low_bits, block_elements, max_m
+):
+    # The certified u is the lexicographically first maximizer, whatever the
+    # meet-in-the-middle split and block size: wide and tall tables, 1 to 15
+    # signs, deflated residuals and exact ties.
+    if low_bits is not None:
+        monkeypatch.setattr(catax.tca, "_LOW_BITS", low_bits)
+        monkeypatch.setattr(catax.tca, "_BLOCK_ELEMENTS", block_elements)
+    for R, expected in exact_vector_cases:
+        if min(R.shape) <= max_m:
+            np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, expected)
+
+
+def test_exhaustive_scale_invariant(models30):
+    # Power-of-two scaling is exact, so the tie window, being relative to
+    # sum|R|, must shortlist the same classes: same u, delta scaled exactly.
+    # At 2^40 an absolute window would be narrower than the rounding of the
+    # tied classes' scores and drop some of them.
+    residuals = []
+    for model in models30[:10]:
+        step = tsvd_step_exhaustive(model.D)
+        residuals.append(model.D)
+        residuals.append(model.D - np.outer(model.D @ step.u, step.v @ model.D) / step.delta)
+    residuals.extend(tie_heavy_matrices(np.random.default_rng(7), 20))
+    for R in residuals:
+        base = tsvd_step_exhaustive(R)
+        for scale in (2.0**-30, 2.0**10, 2.0**40):
+            step = tsvd_step_exhaustive(R * scale)
+            np.testing.assert_array_equal(step.u, base.u)
+            assert step.delta == base.delta * scale
 
 
 def test_iterative_diag():
@@ -293,14 +379,14 @@ def test_sign_separable_residual_attains_total_dispersion():
     # the first axis absorbs the entire dispersion: delta_1 == sum|D| exactly,
     # at any algebraic rank.  The cumulative-delta crossing then puts both
     # intrinsic-dimension bounds at 1.
-    model = build_model(table_from_counts([[6, 8, 8], [10, 2, 9], [0, 6, 3]]))
+    counts = [[6, 8, 8], [10, 2, 9], [0, 6, 3]]
+    model = build_model(table_from_counts(counts))
     step = tsvd_step_exhaustive(model.D)
     total = tca_total_dispersion(model)
     assert step.delta == total
-    mask = model.D != 0
-    assert np.array_equal(
-        np.sign(model.D)[mask], np.outer(step.v, step.u)[mask]
-    )
+    exact = exact_residual(counts)  # exact zeros, unlike model.D
+    mask = exact != 0
+    assert np.array_equal(np.sign(exact)[mask], np.outer(step.v, step.u)[mask])
     dec = tca_decompose(model)
     assert dec.rank == 2
     assert dec.deltas.sum() > total  # deflation adds dispersion beyond sum|D|
