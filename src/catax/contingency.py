@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -190,6 +191,14 @@ def _detect_delimiter(sample: str) -> str:
     return best
 
 
+def _check_count(value: float, row_label: str, col_label: str) -> float:
+    if not np.isfinite(value):
+        raise InvalidTableError(f"cell ({row_label!r}, {col_label!r}): not finite")
+    if value < 0:
+        raise InvalidTableError(f"cell ({row_label!r}, {col_label!r}): negative count {value}")
+    return value
+
+
 def _parse_cell(text: str, row_label: str, col_label: str) -> float:
     try:
         value = float(text)
@@ -197,11 +206,31 @@ def _parse_cell(text: str, row_label: str, col_label: str) -> float:
         raise InvalidTableError(
             f"cell ({row_label!r}, {col_label!r}): not a number: {text!r}"
         ) from None
-    if not np.isfinite(value):
-        raise InvalidTableError(f"cell ({row_label!r}, {col_label!r}): not finite")
-    if value < 0:
-        raise InvalidTableError(f"cell ({row_label!r}, {col_label!r}): negative count {value}")
-    return value
+    return _check_count(value, row_label, col_label)
+
+
+def _reject_row(row: Sequence[str], label: str, col_labels: Sequence[str]) -> NoReturn:
+    """Raise the labelled error of the first bad cell in a data row known to hold one."""
+    for cell, col in zip(row[1:], col_labels):
+        _parse_cell(cell, label, col)
+    # numpy's parse and float() agree, so a row that failed one fails the other
+    raise InvalidTableError(f"row {label!r}: a cell could not be parsed")
+
+
+def _reject_counts(
+    counts: np.ndarray, row_labels: Sequence[str], col_labels: Sequence[str]
+) -> None:
+    """Raise for the first non-finite or negative cell of ``counts``, in row order.
+
+    The check runs on the whole array at once; only a failing row is scanned
+    again cell by cell, to name its first bad cell.
+    """
+    ok = np.isfinite(counts)
+    ok &= counts >= 0
+    if not ok.all():
+        i = int(np.flatnonzero(~ok.all(axis=1))[0])
+        for value, col in zip(counts[i].tolist(), col_labels):
+            _check_count(value, row_labels[i], col)
 
 
 def load_table(
@@ -214,6 +243,14 @@ def load_table(
     The first row holds column labels (an optional leading corner cell is
     ignored); the first field of every other row is the row label.  The
     delimiter is auto-detected among comma, semicolon and tab unless given.
+
+    Cells are read as ``float()`` reads them (surrounding whitespace,
+    ``1_000``, ``+5``, ``1e3`` and non-ASCII digits are accepted).  Each data
+    row is converted, as it is read, into its row of one preallocated array,
+    and the whole array is then checked for non-finite and negative cells at
+    once; a row that fails either step is scanned again cell by cell, only
+    to name its first bad cell.  Errors follow row order, so a ragged row is
+    reported before a bad cell in a later row and after one in an earlier row.
 
     Parameters
     ----------
@@ -240,11 +277,12 @@ def load_table(
     if delimiter is None:
         delimiter = _detect_delimiter(text)
 
-    rows = [row for row in csv.reader(io.StringIO(text), delimiter=delimiter) if row]
-    if len(rows) < 2:
+    rows = (row for row in csv.reader(io.StringIO(text), delimiter=delimiter) if row)
+    header = next(rows, None)
+    first = next(rows, None)
+    if first is None:
         raise InvalidTableError("need a header row and at least two data rows")
-    header, body = rows[0], rows[1:]
-    width = len(body[0])
+    width = len(first)
     if len(header) == width:
         col_labels = [label.strip() for label in header[1:]]  # corner cell present
     elif len(header) == width - 1:
@@ -254,20 +292,27 @@ def load_table(
             f"header has {len(header)} fields but data rows have {width}"
         )
 
+    # Every csv row but the last ends in a line break, so there are at most
+    # as many data rows as line breaks.  Rows are converted as they are read:
+    # holding every row's list of strings at once left ~40 MB of dead heap
+    # under the next large allocation on a 590 x 8265 table.
     row_labels: list[str] = []
-    data: list[list[float]] = []
-    for row in body:
+    counts = np.empty((text.count("\n") + text.count("\r"), width - 1))
+    for i, row in enumerate(itertools.chain((first,), rows)):
+        row_labels.append(row[0].strip())
         if len(row) != width:
+            _reject_counts(counts[:i], row_labels, col_labels)
             raise InvalidTableError(
                 f"row {row[0]!r}: expected {width} fields, got {len(row)}"
             )
-        label = row[0].strip()
-        row_labels.append(label)
-        data.append(
-            [_parse_cell(cell, label, col) for cell, col in zip(row[1:], col_labels)]
-        )
+        try:
+            counts[i] = row[1:]  # numpy parses each str exactly as float() does
+        except ValueError:
+            _reject_counts(counts[:i], row_labels, col_labels)
+            _reject_row(row, row_labels[i], col_labels)
+    counts = counts[: len(row_labels)]
+    _reject_counts(counts, row_labels, col_labels)
 
-    counts = np.array(data, dtype=float)
     if drop_empty:
         counts, row_labels, col_labels = _drop_empty(counts, row_labels, col_labels)
     else:

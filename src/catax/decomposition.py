@@ -95,18 +95,20 @@ class FactorDecomposition:
 def numerical_rank(model: CorrespondenceModel) -> int:
     """Rank of ``D`` counted as singular values above ``1e-12 * sigma_1``.
 
-    Always at most ``min(I - 1, J - 1)`` because ``D`` is doubly centered.
-    The singular values of the standardized residual are canonical
-    correlations, so they live in ``[0, 1]``; a leading value below the
-    absolute floor ``1e-12`` is rounding noise from an independence table
-    and counts as rank 0.  The values come from
-    ``model.singular_values``, which is computed once per model, so repeated
-    calls on one model cost no further factorization.
+    The count is clamped to ``min(I - 1, J - 1)``: ``D`` is doubly centered,
+    so no larger rank is possible, yet a rounding-level singular value of a
+    near-independent table can clear the relative threshold.  The singular
+    values of the standardized residual are canonical correlations, so they
+    live in ``[0, 1]``; a leading value below the absolute floor ``1e-12`` is
+    rounding noise from an independence table and counts as rank 0.  The
+    values come from ``model.singular_values``, which is computed once per
+    model, so repeated calls on one model cost no further factorization.
     """
     s = model.singular_values
     if s.size == 0 or s[0] <= RANK_RTOL:
         return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    I, J = model.shape
+    return min(int(np.count_nonzero(s > RANK_RTOL * s[0])), I - 1, J - 1)
 
 
 def resolve_k(k: int | str | None, rank: int) -> int:

@@ -200,6 +200,27 @@ def _criss_cross(R: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return u, v, delta
 
 
+def _start_signs(R: np.ndarray, q: int) -> list[np.ndarray]:
+    """Signs of the ``q`` leading right singular vectors of ``R``, each up to a flip.
+
+    The vectors come from ``eigh`` of the Gram matrix of the smaller side, a
+    ``min(I, J)``-square problem: for ``I <= J`` the leading eigenvectors
+    ``u_i`` of ``R R^T`` give ``R^T u_i = sigma_i v_i``; otherwise the leading
+    eigenvectors of ``R^T R`` are the ``v_i`` themselves.  A full SVD of a
+    wide residual costs far more and yields the same signs wherever
+    ``sigma_i`` is separated from its neighbours.  A flip is harmless:
+    criss-cross from ``-u`` mirrors the path from ``u`` unless a product on
+    the way has an exact zero, where the sign(0) = +1 convention breaks the
+    symmetry.
+    """
+    I, J = R.shape
+    if I <= J:
+        V = R.T @ np.linalg.eigh(R @ R.T)[1][:, ::-1][:, :q]
+    else:
+        V = np.linalg.eigh(R.T @ R)[1][:, ::-1][:, :q]
+    return list(_sign(V.T))
+
+
 def tsvd_step_iterative(
     residual: np.ndarray,
     restarts: int = 20,
@@ -208,20 +229,18 @@ def tsvd_step_iterative(
     """Heuristic taxicab SVD step: best criss-cross fixed point over restarts.
 
     Starting points are the signs of the first ``min(10, I, J)`` right
-    singular vectors of the residual plus ``restarts`` seeded random sign
-    vectors.  Each half-step cannot decrease ``||R u||_1``, so every start
-    reaches a fixed point; the best one wins, ties broken by the
-    lexicographically smallest ``u``.  Never certified.
+    singular vectors of the residual, taken from one ``eigh`` of its
+    smaller-side Gram matrix (see `_start_signs`), plus ``restarts`` seeded
+    random sign vectors.  Each half-step cannot decrease ``||R u||_1``, so
+    every start reaches a fixed point; the best one wins, ties broken by the
+    lexicographically smallest ``u``, so the order of the starts does not
+    matter.  Never certified.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     R = np.asarray(residual, dtype=float)
     I, J = R.shape
-    starts = []
-    q = min(10, I, J)
-    if np.any(R):
-        Vt = np.linalg.svd(R, full_matrices=False)[2]
-        starts.extend(_sign(Vt[i]) for i in range(q))
+    starts = _start_signs(R, min(10, I, J)) if np.any(R) else []
     rng = np.random.default_rng(seed)
     starts.extend(rng.integers(0, 2, size=J) * 2.0 - 1.0 for _ in range(restarts))
     best = None

@@ -34,6 +34,15 @@ def brute_argmax(M: np.ndarray) -> np.ndarray:
     return best_u
 
 
+def svd_start_signs(R: np.ndarray, q: int) -> list:
+    """Signs (sign(0) = +1) of the first ``q`` right singular vectors of ``R``.
+
+    The criss-cross start vectors as a full thin SVD gives them.
+    """
+    Vt = np.linalg.svd(R, full_matrices=False)[2]
+    return [np.where(Vt[i] >= 0, 1.0, -1.0) for i in range(q)]
+
+
 def exact_residual(counts: np.ndarray) -> np.ndarray:
     """Integer residual ``N * n_ij - n_i+ * n_+j``, a positive multiple of ``D``.
 

@@ -87,6 +87,20 @@ def test_rank_bound(models30):
         assert numerical_rank(model) <= min(I - 1, J - 1)
 
 
+def test_rank_clamped_on_near_independent_table():
+    # An exact outer product of ~1e9-sized cells plus Poisson(1) noise: the
+    # 18th singular value is rounding (about 1e-7 of the first) yet clears
+    # the relative threshold; D is doubly centered, so the rank is 17.
+    rng = np.random.default_rng(1)
+    a = rng.integers(5, 40, size=40).astype(float)
+    b = rng.integers(5, 40, size=18).astype(float)
+    model = build_model(table_from_counts(np.outer(a, b) * 1e6 + rng.poisson(1.0, (40, 18))))
+    s = model.singular_values
+    assert np.count_nonzero(s > 1e-12 * s[0]) == 18
+    assert numerical_rank(model) == 17
+    assert ca_decompose(model).k == 17
+
+
 def test_benzecri_matches_loop_oracle(models30):
     for model in models30[:10]:
         I, J = model.shape

@@ -57,6 +57,65 @@ def test_real_valued_cells_accepted():
 @pytest.mark.parametrize(
     "text",
     [
+        "A,x,y\nr1,2,0\nr2,0,2",
+        "A,x,y\nr1,2,0\nr2,0,2\n",
+        "A,x,y\r\nr1,2,0\r\nr2,0,2\r\n",
+        "A,x,y\n\nr1,2,0\n\n\nr2,0,2\n\n",
+        'A,x,y\n"r\n1",2,0\nr2,0,2',
+    ],
+)
+def test_row_count_independent_of_line_breaks(text):
+    # the counts array is sized from the line breaks, then cut to the rows read
+    table = load_table(io.StringIO(text))
+    np.testing.assert_array_equal(table.counts, [[2, 0], [0, 2]])
+    assert table.row_labels[1] == "r2"
+
+
+def test_cells_parse_as_float_does():
+    cells = [[" 3 ", "1_000", "+5"], ["-0", "1e3", "0.1"], ["\u0663", "2", "7"]]
+    text = "A,x,y,z\n" + "\n".join(f"r{i}," + ",".join(row) for i, row in enumerate(cells))
+    counts = load_table(io.StringIO(text)).counts
+    reference = np.array([[float(cell) for cell in row] for row in cells])
+    assert counts[2, 0] == 3.0 and np.signbit(counts[1, 0])
+    np.testing.assert_array_equal(counts.view(np.uint64), reference.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("zap", "cell ('r3', 'y'): not a number: 'zap'"),
+        ("-2", "cell ('r3', 'y'): negative count -2.0"),
+        ("nan", "cell ('r3', 'y'): not finite"),
+        ("inf", "cell ('r3', 'y'): not finite"),
+    ],
+)
+def test_first_bad_cell_named(bad, message):
+    # later cells are bad too, so only the order of the checks decides
+    text = f"A,x,y,z\nr1,1,2,3\nr2,4,5,6\nr3,7,{bad},-1\nr4,1,1,nan\nr5,-3,1,1"
+    with pytest.raises(InvalidTableError) as excinfo:
+        load_table(io.StringIO(text))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A,x,y\nr1,1,2\nr2,1\nr3,1,zap", "row 'r2': expected 3 fields, got 2"),
+        ("A,x,y\nr1,1,2\nr2,1\nr3,1,-1", "row 'r2': expected 3 fields, got 2"),
+        ("A,x,y\nr1,1,-1\nr2,1\nr3,1,2", "cell ('r1', 'y'): negative count -1.0"),
+        ("A,x,y\nr1,1,inf\nr2,1,2,3\nr3,1,2", "cell ('r1', 'y'): not finite"),
+        ("A,x,y\nr1,1,2\nr2,1,-1\nr3,zap,2", "cell ('r2', 'y'): negative count -1.0"),
+    ],
+)
+def test_errors_in_row_order(text, message):
+    with pytest.raises(InvalidTableError) as excinfo:
+        load_table(io.StringIO(text))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
         "A,x,y\nr1,2,zap\nr2,0,2",  # non-numeric
         "A,x,y\nr1,2,-1\nr2,0,2",  # negative
         "A,x,y\nr1,2,nan\nr2,0,2",  # not finite

@@ -20,6 +20,7 @@ from oracles import (
     brute_delta1,
     dispersion_loop,
     exact_residual,
+    svd_start_signs,
     taxicab_col_loop,
     taxicab_row_loop,
 )
@@ -223,6 +224,76 @@ def test_iterative_deterministic():
     b = tsvd_step_iterative(R, restarts=5, seed=7)
     np.testing.assert_array_equal(a.u, b.u)
     assert a.delta == b.delta
+
+
+def poisson_model(shape, seed):
+    counts = np.random.default_rng(seed).poisson(2.0, size=shape).astype(float)
+    return build_model(table_from_counts(counts))
+
+
+def deflations(R, steps):
+    """The residuals of the first ``steps`` iterative axes, ``R`` first.
+
+    Deflation follows tca_decompose and stops, as it does, before an
+    exhausted residual, whose step it discards.
+    """
+    residuals = []
+    for _ in range(steps):
+        step = tsvd_step_iterative(R, restarts=20, seed=0)
+        if step.delta < 1e-12:
+            break
+        residuals.append(R)
+        R = R - np.outer(R @ step.u, step.v @ R) / step.delta
+    return residuals
+
+
+@pytest.mark.parametrize("shape", [(60, 300), (300, 60)])
+def test_start_signs_match_svd(shape):
+    compared = 0
+    for R in deflations(poisson_model(shape, seed=5).D, 4):
+        q = min(10, *R.shape)
+        s = np.linalg.svd(R, compute_uv=False)
+        starts = catax.tca._start_signs(R, q)
+        assert len(starts) == q
+        for i, (ours, ref) in enumerate(zip(starts, svd_start_signs(R, q))):
+            # a vector is defined up to a flip only when its singular value
+            # clears the rank floor and is apart from its neighbours
+            gap = min(s[i - 1] - s[i] if i else np.inf, s[i] - s[i + 1])
+            if s[i] > 1e-12 * s[0] and gap > 1e-6 * s[0]:
+                assert np.array_equal(ours, ref) or np.array_equal(ours, -ref)
+                compared += 1
+    assert compared >= 35
+
+
+def test_iterative_step_same_as_svd_started(models30, monkeypatch):
+    residuals = [poisson_model((12, 40), seed=8).D, poisson_model((40, 12), seed=9).D]
+    for model in models30:
+        residuals.extend(deflations(model.D, min(model.shape)))
+    for R in residuals:
+        step = tsvd_step_iterative(R, restarts=20, seed=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(catax.tca, "_start_signs", svd_start_signs)
+            ref = tsvd_step_iterative(R, restarts=20, seed=3)
+        np.testing.assert_array_equal(step.u, ref.u)
+        np.testing.assert_array_equal(step.v, ref.v)
+        assert step.delta == ref.delta
+
+
+@pytest.mark.parametrize("shape", [(30, 200), (200, 30)])
+def test_iterative_step_one_small_eigh(shape, monkeypatch):
+    # one eigh of the smaller Gram matrix per step, never a full SVD
+    R = poisson_model(shape, seed=2).D
+    calls = []
+    for name in ("svd", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    tsvd_step_iterative(R)
+    assert calls == [("eigh", (30, 30))]
 
 
 def test_decompose_diag():
