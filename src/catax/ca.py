@@ -4,6 +4,9 @@ With ``S = D / sqrt(outer(r, c))`` and ``S = U diag(sigma) V^T``, the factor
 scores are ``f_alpha(i) = sigma_alpha u_alpha(i) / sqrt(r_i)`` and
 ``g_alpha(j) = sigma_alpha v_alpha(j) / sqrt(c_j)``; the principal values
 ``delta_alpha = sigma_alpha`` satisfy ``sum(delta**2) == total inertia``.
+The SVD is the model's one cached R-SVD, which holds ``sigma`` and the
+singular vectors of the shorter side only; the other side's scores come from
+the transition formulas ``f = D (g / delta) / r`` and ``g = D^T (f / delta) / c``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .decomposition import (
     numerical_rank,
     orient_axes,
     resolve_k,
-    standardized_residual,
 )
 
 __all__ = [
@@ -42,6 +44,13 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
     ------
     ValueError
         If ``k`` exceeds the numerical rank.
+
+    Notes
+    -----
+    Makes no factorization of its own: the principal values and the
+    shorter side's singular vectors come from the model's cached R-SVD (the
+    one :func:`numerical_rank` reads), and only the ``k`` long-side score
+    columns are formed, by one product with ``D``.
     """
     rank = numerical_rank(model)
     if rank == 0:
@@ -50,13 +59,17 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
     if k == 0:
         return empty_decomposition(model, CA)
 
-    U, s, Vt = np.linalg.svd(standardized_residual(model), full_matrices=False)
-    row_scores = s[:k] * U[:, :k] / np.sqrt(model.r)[:, None]
-    col_scores = s[:k] * Vt[:k].T / np.sqrt(model.c)[:, None]
+    s, B = model._short_svd
+    s = s[:k]
+    wide = model.shape[0] < model.shape[1]
+    D, short_w, long_w = (model.D.T, model.r, model.c) if wide else (model.D, model.c, model.r)
+    x = B[:, :k] / np.sqrt(short_w)[:, None]
+    short_scores, long_scores = s * x, (D @ x) / long_w[:, None]
+    row_scores, col_scores = (short_scores, long_scores) if wide else (long_scores, short_scores)
     orient_axes(row_scores, col_scores)
     return FactorDecomposition(
         method=CA,
-        deltas=s[:k].copy(),
+        deltas=s.copy(),
         row_scores=row_scores,
         col_scores=col_scores,
         rank=rank,

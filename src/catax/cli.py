@@ -87,12 +87,13 @@ def run(config: AnalysisConfig) -> int:
         table = load_table(
             config.input_path, drop_empty=config.drop_empty, delimiter=config.delimiter
         )
+        spar = sparsity(table)
         model = build_model(table)
     except (InvalidTableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    del table  # the counts, as large as D, need not outlive the model
 
-    spar = sparsity(table)
     try:
         rank = numerical_rank(model)
         if rank == 0:

@@ -117,9 +117,6 @@ class CorrespondenceModel:
         Row and column marginals of ``P``, all strictly positive.
     D : (I, J) ndarray
         Residual ``P - outer(r, c)``; every row and column sums to 0.
-    delta_index : (I, J) ndarray
-        Association index ``P / outer(r, c) - 1``; satisfies
-        ``delta_index * outer(r, c) == D`` cellwise.
     """
 
     row_labels: tuple[str, ...]
@@ -128,10 +125,9 @@ class CorrespondenceModel:
     r: np.ndarray
     c: np.ndarray
     D: np.ndarray
-    delta_index: np.ndarray
 
     def __post_init__(self) -> None:
-        for field in ("P", "r", "c", "D", "delta_index"):
+        for field in ("P", "r", "c", "D"):
             object.__setattr__(self, field, _freeze(getattr(self, field)))
 
     @property
@@ -145,15 +141,50 @@ class CorrespondenceModel:
         """Marginal weight vector of the requested axis (``r`` or ``c``)."""
         return self.r if _check_axis(axis) == ROWS else self.c
 
-    @cached_property
+    @property
+    def delta_index(self) -> np.ndarray:
+        """Association index ``P / outer(r, c) - 1``, an ``(I, J)`` array.
+
+        Satisfies ``delta_index * outer(r, c) == D`` cellwise.  No library
+        code reads it, so it is computed on each access rather than stored
+        as a second matrix the size of ``P``.
+        """
+        return self.P / np.outer(self.r, self.c) - 1.0
+
+    @property
     def singular_values(self) -> np.ndarray:
         """Singular values of :func:`standardized_residual`, non-increasing.
 
-        Computed on first access and kept, so every rank decision on this
-        model reads the same values.  Only the values are kept: the singular
-        vectors would add a matrix the size of ``D`` to every model.
+        There are ``min(I, J)`` of them, read from the model's one cached
+        factorization (see `_short_svd`), so every rank decision and the CA
+        solution of this model use the same values.
         """
-        return _freeze(np.linalg.svd(standardized_residual(self), compute_uv=False))
+        return self._short_svd[0]
+
+    @cached_property
+    def _short_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """Singular values and short-side singular vectors of ``S``, by R-SVD.
+
+        ``S`` is :func:`standardized_residual`; ``L`` is its long orientation,
+        ``S`` itself when ``I >= J`` and ``S^T`` otherwise.  The R-SVD (Chan,
+        ACM TOMS 8(1), 1982; Golub & Van Loan, Matrix Computations, 4th ed.,
+        section 8.6) takes the triangular factor of ``L = Q R`` and the SVD
+        ``R = A diag(s) B^T`` of that ``m x m`` matrix, ``m = min(I, J)``;
+        then ``L = (Q A) diag(s) B^T``, so ``s`` and ``B`` are the singular
+        values and right singular vectors of ``L``: the right vectors of
+        ``S`` when ``I >= J``, its left vectors otherwise.  Returned as
+        ``(s, B)``, columns of ``B`` in the order of ``s``.
+
+        Computed once per model and kept.  Only ``m x m`` is kept, never ``Q``
+        or the long-side vectors, which are the size of ``D``.  QR then SVD
+        is backward stable, so a singular value near the ``1e-12`` rank
+        floor is still resolved; the SVD of a Gram matrix ``L^T L`` would
+        square the condition number and lose it.
+        """
+        S = standardized_residual(self)
+        R = np.linalg.qr(S.T if S.shape[0] < S.shape[1] else S, mode="r")
+        _, s, Bt = np.linalg.svd(R)
+        return _freeze(s), _freeze(Bt.T)
 
 
 def standardized_residual(model: CorrespondenceModel) -> np.ndarray:
@@ -353,7 +384,7 @@ def _drop_empty(
 
 
 def build_model(table: ContingencyTable) -> CorrespondenceModel:
-    """Compute ``P``, marginals, residual ``D`` and association index.
+    """Compute ``P``, its marginals and the residual ``D``.
 
     Raises
     ------
@@ -366,10 +397,8 @@ def build_model(table: ContingencyTable) -> CorrespondenceModel:
     c = P.sum(axis=0)
     if np.any(r == 0) or np.any(c == 0):
         raise InvalidTableError("zero marginal; drop empty rows/columns first")
-    expected = np.outer(r, c)
-    D = P - expected
-    delta_index = P / expected - 1.0
-    return CorrespondenceModel(table.row_labels, table.col_labels, P, r, c, D, delta_index)
+    D = P - np.outer(r, c)
+    return CorrespondenceModel(table.row_labels, table.col_labels, P, r, c, D)
 
 
 def sparsity(table: ContingencyTable) -> float:

@@ -101,8 +101,13 @@ def numerical_rank(model: CorrespondenceModel) -> int:
     values of the standardized residual are canonical correlations, so they
     live in ``[0, 1]``; a leading value below the absolute floor ``1e-12`` is
     rounding noise from an independence table and counts as rank 0.  The
-    values come from ``model.singular_values``, which is computed once per
-    model, so repeated calls on one model cost no further factorization.
+    values come from ``model.singular_values``, the model's one R-SVD (QR of
+    the long orientation of the standardized residual, then the SVD of its
+    ``min(I, J)``-square triangular factor), computed on the first call and
+    kept, so later calls and :func:`ca_decompose` cost no factorization.
+    QR then SVD is backward stable, so the relative threshold resolves
+    values down to about ``1e-15 * sigma_1``; a Gram-matrix eigensolve would
+    square the condition number and blur everything below ``1e-8``.
     """
     s = model.singular_values
     if s.size == 0 or s[0] <= RANK_RTOL:

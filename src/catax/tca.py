@@ -72,6 +72,10 @@ _BLOCK_ELEMENTS = 1 << 21
 
 _ASCENT_SLACK = 1e-9
 
+# Deflation updates the residual in place, this many float64 elements (1 MB)
+# of rows at a time, so no temporary the size of the residual is made.
+_DEFLATE_BLOCK_ELEMENTS = 1 << 17
+
 
 def _sign(x: np.ndarray) -> np.ndarray:
     """Sign with the fixed convention sign(0) = +1."""
@@ -192,11 +196,13 @@ def _criss_cross(R: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         if obj_next <= obj:  # plateau on a tie structure; no further progress
             break
         u, obj = u_next, obj_next
+    if u[0] < 0:
+        u = -u
+    # v is computed after the flip, not negated with u: where R u is exactly
+    # 0, sign(0) = +1 for u and -u alike, so -v would hold -1 there.
     Ru = R @ u
     v = _sign(Ru)
     delta = float(np.abs(Ru).sum())
-    if u[0] < 0:
-        u, v = -u, -v
     return u, v, delta
 
 
@@ -305,6 +311,7 @@ def tca_decompose(
     R = model.D.copy()
     I, J = R.shape
     enumerable = min(I, J) <= EXHAUSTIVE_LIMIT
+    rows = max(1, _DEFLATE_BLOCK_ELEMENTS // J)
     seed_seq = np.random.SeedSequence(seed)
     deltas: list[float] = []
     row_cols: list[np.ndarray] = []
@@ -330,7 +337,8 @@ def tca_decompose(
         row_cols.append(Ru / model.r)
         col_cols.append(vR / model.c)
         pairs.append((np.asarray(step.u), np.asarray(step.v)))
-        R = R - np.outer(Ru, vR) / step.delta
+        for b in range(0, I, rows):
+            R[b : b + rows] -= np.outer(Ru[b : b + rows], vR) / step.delta
 
     if not deltas:
         return empty_decomposition(model, TCA, rank=rank)

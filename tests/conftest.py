@@ -65,6 +65,21 @@ def counts100():
     return random_counts(100)
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """``(name, shape)`` of every ``svd``, ``qr`` and ``eigh`` call in the test."""
+    calls = []
+    for name in ("svd", "qr", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def dataset_table(filename: str):
     """Load an external dataset or skip the test when it is absent."""
     path = DATA_DIR / filename

@@ -13,6 +13,7 @@ from catax import (
     ca_total_inertia,
     embedded_sq_distance,
     numerical_rank,
+    standardized_residual,
     tca_decompose,
 )
 from conftest import random_models, table_from_counts
@@ -87,18 +88,79 @@ def test_rank_bound(models30):
         assert numerical_rank(model) <= min(I - 1, J - 1)
 
 
-def test_rank_clamped_on_near_independent_table():
-    # An exact outer product of ~1e9-sized cells plus Poisson(1) noise: the
-    # 18th singular value is rounding (about 1e-7 of the first) yet clears
-    # the relative threshold; D is doubly centered, so the rank is 17.
+def near_independent_counts():
+    # An exact outer product of ~1e9-sized cells plus Poisson(1) noise.
     rng = np.random.default_rng(1)
     a = rng.integers(5, 40, size=40).astype(float)
     b = rng.integers(5, 40, size=18).astype(float)
-    model = build_model(table_from_counts(np.outer(a, b) * 1e6 + rng.poisson(1.0, (40, 18))))
+    return np.outer(a, b) * 1e6 + rng.poisson(1.0, (40, 18))
+
+
+def test_rank_clamped_on_near_independent_table():
+    # The 18th singular value is rounding (about 1e-7 of the first) yet
+    # clears the relative threshold; D is doubly centered, so the rank is 17.
+    model = build_model(table_from_counts(near_independent_counts()))
     s = model.singular_values
     assert np.count_nonzero(s > 1e-12 * s[0]) == 18
     assert numerical_rank(model) == 17
     assert ca_decompose(model).k == 17
+
+
+def poisson_counts(shape, seed):
+    return np.random.default_rng(seed).poisson(2.0, size=shape).astype(float)
+
+
+def assert_equal_up_to_sign(ours, ref, tol):
+    scale = np.abs(ref).max()
+    assert min(np.abs(ours - ref).max(), np.abs(ours + ref).max()) <= tol * scale
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        poisson_counts((80, 30), seed=3),
+        poisson_counts((30, 80), seed=4),
+        poisson_counts((40, 40), seed=5),
+        near_independent_counts(),
+    ],
+    ids=["tall", "wide", "square", "near_independent"],
+)
+def test_factorization_matches_full_svd(counts):
+    model = build_model(table_from_counts(counts))
+    U, ref, Vt = np.linalg.svd(standardized_residual(model), full_matrices=False)
+    s, B = model._short_svd
+    assert s.shape == ref.shape and B.shape == (ref.size, ref.size)
+    assert np.abs(s - ref).max() <= 1e-14 * ref[0]
+
+    # A singular vector is defined up to a flip only where its value is apart
+    # from its neighbours; its error then scales as rounding over the gap.
+    dec = ca_decompose(model)
+    short_ref = U if model.shape[0] < model.shape[1] else Vt.T
+    row_ref = ref * U / np.sqrt(model.r)[:, None]
+    col_ref = ref * Vt.T / np.sqrt(model.c)[:, None]
+    gaps = np.minimum(np.append(np.inf, -np.diff(ref)), np.append(-np.diff(ref), ref[-1]))
+    compared = 0
+    for i in range(dec.k):
+        gap = gaps[i] / ref[0]
+        if gap >= 1e-6:
+            assert_equal_up_to_sign(B[:, i], short_ref[:, i], 1e-14 / gap)
+            assert_equal_up_to_sign(dec.row_scores[:, i], row_ref[:, i], 1e-14 / gap)
+            assert_equal_up_to_sign(dec.col_scores[:, i], col_ref[:, i], 1e-14 / gap)
+            compared += 1
+    assert compared == dec.k
+
+
+@pytest.mark.parametrize("shape", [(30, 80), (80, 30)])
+def test_one_factorization_per_model(shape, linalg_calls):
+    # one QR of the long orientation of S and one SVD of its square factor,
+    # made by the first rank query; CA then factorizes nothing
+    model = build_model(table_from_counts(poisson_counts(shape, seed=6)))
+    numerical_rank(model)
+    assert linalg_calls == [("qr", (80, 30)), ("svd", (30, 30))]
+    ca_decompose(model)
+    ca_decompose(model, k=2)
+    numerical_rank(model)
+    assert len(linalg_calls) == 2
 
 
 def test_benzecri_matches_loop_oracle(models30):

@@ -280,20 +280,23 @@ def test_iterative_step_same_as_svd_started(models30, monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(30, 200), (200, 30)])
-def test_iterative_step_one_small_eigh(shape, monkeypatch):
+def test_iterative_step_one_small_eigh(shape, linalg_calls):
     # one eigh of the smaller Gram matrix per step, never a full SVD
     R = poisson_model(shape, seed=2).D
-    calls = []
-    for name in ("svd", "eigh"):
-        real = getattr(np.linalg, name)
-
-        def counted(a, *args, _name=name, _real=real, **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
     tsvd_step_iterative(R)
-    assert calls == [("eigh", (30, 30))]
+    assert linalg_calls == [("eigh", (30, 30))]
+
+
+def test_iterative_v_is_sign_of_product_after_flip(monkeypatch):
+    # At the maximizer u = (1, 1), (R @ u)[2] is exactly 0.  Criss-cross from
+    # (-1, -1) stays at the mirrored fixed point, which is then flipped, and
+    # v must still read sign(0) = +1 there.
+    R = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    monkeypatch.setattr(catax.tca, "_start_signs", lambda R, q: [np.array([-1.0, -1.0])])
+    step = tsvd_step_iterative(R, restarts=1, seed=0)
+    assert step.delta == 4.0
+    np.testing.assert_array_equal(step.u, [1.0, 1.0])
+    assert np.array_equal(step.v, catax.tca._sign(R @ step.u))
 
 
 def test_decompose_diag():
