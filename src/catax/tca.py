@@ -14,8 +14,11 @@ m <= ``EXHAUSTIVE_LIMIT``: a meet-in-the-middle split of each sign vector
 scores every class of an I x m matrix with O(I * 2^(m-1)) additions, and the
 classes within a window relative to ``sum|R|`` of the best are re-scored
 exactly, ties going to the lexicographically smallest vector.  Larger
-problems use criss-cross ascent (``v <- sign(R u)``,
-``u <- sign(R^T v)``) from deterministic and seeded random starts.
+problems use criss-cross ascent (``v <- sign(R u)``, ``u <- sign(R^T v)``;
+Choulakian, Psychometrika 71(2), 2006) from deterministic and seeded random
+starts, all advanced together: each half-step is one matrix-matrix product
+over every start still moving.  The fixed points within the same relative
+window of the best are re-scored one by one, with the same tie-break.
 """
 
 from __future__ import annotations
@@ -53,12 +56,15 @@ _STRATEGIES = ("auto", "exhaustive", "iterative")
 # Principal values below this are treated as an exhausted residual.
 _DELTA_FLOOR = 1e-12
 
-# Candidates within this fraction of sum|M| of the enumeration maximum are
-# re-evaluated with the same expression the iterative solver uses, so both
-# solvers' objective values are directly comparable.  The window must exceed
-# the first pass's rounding error, at most about (m + I) * eps * sum|M| for an
-# I x m matrix, so the true maximizer is always re-scored; being relative, it
-# holds on near-independent tables without making every class a candidate.
+# Both solvers score candidates in bulk first (the enumeration by meet in the
+# middle, criss-cross by matrix-matrix products) and then re-score, one
+# matrix-vector product each, those within this fraction of sum|M| of the
+# best bulk score, so both report values from the same expression.  The
+# window must exceed the bulk pass's rounding error, at most about
+# (I + J) * eps * sum|M| for an I x J matrix, so the true maximizer is always
+# re-scored; being relative, it holds on near-independent tables without
+# making every candidate a finalist.  The same fraction of sum|R| bounds the
+# rounding that criss-cross may show as a decrease of its objective.
 _SHORTLIST_RTOL = 1e-9
 _SHORTLIST_CAP = 1 << 16
 
@@ -70,10 +76,9 @@ _LOW_BITS = 12
 # table, in float64 elements (16 MB).
 _BLOCK_ELEMENTS = 1 << 21
 
-_ASCENT_SLACK = 1e-9
-
-# Deflation updates the residual in place, this many float64 elements (1 MB)
-# of rows at a time, so no temporary the size of the residual is made.
+# Deflation updates the residual in place, and the iterative step sums |R|,
+# this many float64 elements (1 MB) of rows at a time, so no temporary the
+# size of the residual is made.
 _DEFLATE_BLOCK_ELEMENTS = 1 << 17
 
 
@@ -183,31 +188,41 @@ def tsvd_step_exhaustive(residual: np.ndarray) -> TsvdStepResult:
     )
 
 
-def _criss_cross(R: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    obj = float(np.abs(R @ u).sum())
-    while True:
-        v = _sign(R @ u)
-        u_next = _sign(R.T @ v)
-        if np.array_equal(u_next, u):
-            break
-        obj_next = float(np.abs(R @ u_next).sum())
-        if obj_next < obj - 1e-12:
+def _criss_cross(R: np.ndarray, U: np.ndarray, tol: float) -> np.ndarray:
+    """Criss-cross ascent from every column of ``U`` at once, in place.
+
+    Each round is two matrix-matrix products over the starts still moving:
+    ``U' = sign((sign(R U)^T R)^T)``, the row-major form of ``sign(R^T V)``,
+    then ``R U'``.  A start stops at a fixed point (``U' == U``) or on a
+    plateau, where its objective ``||R u||_1`` does not strictly rise; a
+    drop of more than ``tol`` raises.  On return each column of ``U`` is a
+    fixed point with its first component +1.  Returns the objectives, taken
+    from the matrix-matrix products and so rounded differently from a
+    matrix-vector product: callers re-score before comparing.
+    """
+    RU = R @ U
+    obj = np.abs(RU).sum(axis=0)
+    active = np.arange(U.shape[1])
+    while active.size:
+        U_next = _sign((_sign(RU[:, active]).T @ R).T)
+        moved = np.any(U_next != U[:, active], axis=0)
+        active, U_next = active[moved], U_next[:, moved]
+        RU_next = R @ U_next
+        obj_next = np.abs(RU_next).sum(axis=0)
+        if np.any(obj_next < obj[active] - tol):
             raise ArithmeticError("criss-cross ascent decreased the objective")
-        if obj_next <= obj:  # plateau on a tie structure; no further progress
-            break
-        u, obj = u_next, obj_next
-    if u[0] < 0:
-        u = -u
-    # v is computed after the flip, not negated with u: where R u is exactly
-    # 0, sign(0) = +1 for u and -u alike, so -v would hold -1 there.
-    Ru = R @ u
-    v = _sign(Ru)
-    delta = float(np.abs(Ru).sum())
-    return u, v, delta
+        rose = obj_next > obj[active]  # a plateau on a tie structure stops
+        active = active[rose]
+        U[:, active] = U_next[:, rose]
+        RU[:, active] = RU_next[:, rose]
+        obj[active] = obj_next[rose]
+    U[:, U[0] < 0] *= -1.0
+    return obj
 
 
-def _start_signs(R: np.ndarray, q: int) -> list[np.ndarray]:
-    """Signs of the ``q`` leading right singular vectors of ``R``, each up to a flip.
+def _start_signs(R: np.ndarray, q: int) -> np.ndarray:
+    """Signs of the ``q`` leading right singular vectors of ``R``, one per row,
+    each up to a flip.
 
     The vectors come from ``eigh`` of the Gram matrix of the smaller side, a
     ``min(I, J)``-square problem: for ``I <= J`` the leading eigenvectors
@@ -224,7 +239,7 @@ def _start_signs(R: np.ndarray, q: int) -> list[np.ndarray]:
         V = R.T @ np.linalg.eigh(R @ R.T)[1][:, ::-1][:, :q]
     else:
         V = np.linalg.eigh(R.T @ R)[1][:, ::-1][:, :q]
-    return list(_sign(V.T))
+    return _sign(V.T)
 
 
 def tsvd_step_iterative(
@@ -238,23 +253,34 @@ def tsvd_step_iterative(
     singular vectors of the residual, taken from one ``eigh`` of its
     smaller-side Gram matrix (see `_start_signs`), plus ``restarts`` seeded
     random sign vectors.  Each half-step cannot decrease ``||R u||_1``, so
-    every start reaches a fixed point; the best one wins, ties broken by the
-    lexicographically smallest ``u``, so the order of the starts does not
-    matter.  Never certified.
+    every start reaches a fixed point.  All starts ascend together in one
+    J x n matrix, one matrix-matrix product per half-step (`_criss_cross`;
+    Dongarra et al., ACM TOMS 16(1), 1990).  The distinct fixed points whose
+    batched objective lies within ``_SHORTLIST_RTOL * sum|R|`` of the best
+    are then re-scored one by one as ``delta = ||R u||_1`` with
+    ``v = sign(R u)``; the window exceeds the rounding difference between
+    the two products, so the best re-scored value is always among them.  The
+    largest ``delta`` wins, ties broken by the lexicographically smallest
+    ``u``, so the order of the starts does not matter.  Never certified.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     R = np.asarray(residual, dtype=float)
     I, J = R.shape
-    starts = _start_signs(R, min(10, I, J)) if np.any(R) else []
+    rows = max(1, _DEFLATE_BLOCK_ELEMENTS // J)
+    total = sum(float(np.abs(R[b : b + rows]).sum()) for b in range(0, I, rows))
+    starts = _start_signs(R, min(10, I, J)) if total > 0 else np.empty((0, J))
     rng = np.random.default_rng(seed)
-    starts.extend(rng.integers(0, 2, size=J) * 2.0 - 1.0 for _ in range(restarts))
+    U = np.vstack((starts, rng.integers(0, 2, size=(restarts, J)) * 2.0 - 1.0)).T
+    obj = _criss_cross(R, U, _SHORTLIST_RTOL * total)
+    shortlist = U[:, obj >= obj.max() - _SHORTLIST_RTOL * total].T
     best = None
-    for u0 in starts:
-        u, v, delta = _criss_cross(R, u0)
+    for u in {u.tobytes(): u for u in shortlist}.values():  # distinct fixed points
+        Ru = R @ u
+        delta = float(np.abs(Ru).sum())
         key = (-delta, tuple(u))
         if best is None or key < best[0]:
-            best = (key, u, v, delta)
+            best = (key, u, _sign(Ru), delta)
     _, u, v, delta = best
     return TsvdStepResult(u=u, v=v, delta=delta, certified=False)
 
@@ -296,10 +322,9 @@ def tca_decompose(
     The extracted ``deltas`` follow extraction order and are not always
     non-increasing: deflation is an oblique projection, and the deflated
     residual's maximum can exceed its predecessor's even at certified global
-    optima.  When the iterative solver reports a step larger than the
-    previous one by more than its slack, the step is re-solved exhaustively
-    if the table permits, so a spurious increase from an undershot heuristic
-    is never kept when it can be checked.
+    optima.  So a later value above an earlier one is no sign that the
+    heuristic undershot, and "iterative" keeps every step criss-cross finds,
+    with no exhaustive re-solve even on an enumerable table.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -322,8 +347,6 @@ def tca_decompose(
             step = tsvd_step_exhaustive(R)
         else:
             step = tsvd_step_iterative(R, restarts=restarts, seed=seed_seq.spawn(1)[0])
-            if deltas and step.delta > deltas[-1] + _ASCENT_SLACK and enumerable:
-                step = tsvd_step_exhaustive(R)
         if step.delta < _DELTA_FLOOR:
             warnings.warn(
                 f"residual exhausted after {alpha} axes ({k} requested); truncating",

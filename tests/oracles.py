@@ -43,6 +43,31 @@ def svd_start_signs(R: np.ndarray, q: int) -> list:
     return [np.where(Vt[i] >= 0, 1.0, -1.0) for i in range(q)]
 
 
+def criss_cross(R: np.ndarray, u: np.ndarray) -> tuple:
+    """Criss-cross ascent from one start, one matrix-vector product at a time.
+
+    Stops at a fixed point or when the objective ``||R u||_1`` does not
+    strictly rise; returns ``(u, v, delta)`` with ``u_0 = +1``,
+    ``v = sign(R u)`` (sign(0) = +1) and ``delta = ||R u||_1``.
+    """
+    obj = float(np.abs(R @ u).sum())
+    while True:
+        v = np.where(R @ u >= 0, 1.0, -1.0)
+        u_next = np.where(R.T @ v >= 0, 1.0, -1.0)
+        if np.array_equal(u_next, u):
+            break
+        obj_next = float(np.abs(R @ u_next).sum())
+        if obj_next < obj - 1e-12:
+            raise ArithmeticError("criss-cross ascent decreased the objective")
+        if obj_next <= obj:
+            break
+        u, obj = u_next, obj_next
+    if u[0] < 0:
+        u = -u
+    Ru = R @ u
+    return u, np.where(Ru >= 0, 1.0, -1.0), float(np.abs(Ru).sum())
+
+
 def exact_residual(counts: np.ndarray) -> np.ndarray:
     """Integer residual ``N * n_ij - n_i+ * n_+j``, a positive multiple of ``D``.
 

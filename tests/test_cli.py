@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import catax.cli
 from catax import AnalysisConfig, main
+from test_tca import check_tca_invariants
 
 COUNTS = [[4, 1, 0], [2, 3, 1], [0, 2, 4], [1, 1, 2]]
 
@@ -122,6 +124,33 @@ def test_determinism_across_runs(tmp_path, capsys):
     assert main(args) == 0
     assert capsys.readouterr().out == first_out
     assert map_path.read_bytes() == first_map
+
+
+def test_auto_iterates_above_limit_deterministically(tmp_path, capsys, monkeypatch):
+    # min(25, 120) exceeds the enumeration limit, so the default "auto"
+    # strategy takes the batched criss-cross path.
+    path = write_csv(tmp_path, np.random.default_rng(3).poisson(2.0, size=(25, 120)))
+    calls = []
+
+    def spy(model, **kwargs):
+        dec = real(model, **kwargs)
+        calls.append((model, kwargs["strategy"], dec))
+        return dec
+
+    real = catax.cli.tca_decompose
+    monkeypatch.setattr(catax.cli, "tca_decompose", spy)
+    outputs = []
+    for _ in range(2):
+        assert main(["--input", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "# method=TCA" in outputs[0]
+    assert len(calls) == 2
+    for model, strategy, dec in calls:
+        assert strategy == "auto" and min(model.shape) > catax.tca.EXHAUSTIVE_LIMIT
+        assert dec.k == 3
+        check_tca_invariants(model, dec)
+    np.testing.assert_array_equal(calls[0][2].deltas, calls[1][2].deltas)
 
 
 def test_exhaustive_limit_exits_2(tmp_path, capsys):

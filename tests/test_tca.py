@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,11 @@ from catax import (
     tsvd_step_exhaustive,
     tsvd_step_iterative,
 )
-from conftest import random_models, table_from_counts
+from conftest import random_counts, random_models, table_from_counts
 from oracles import (
     brute_argmax,
     brute_delta1,
+    criss_cross,
     dispersion_loop,
     exact_residual,
     svd_start_signs,
@@ -297,6 +300,110 @@ def test_iterative_v_is_sign_of_product_after_flip(monkeypatch):
     assert step.delta == 4.0
     np.testing.assert_array_equal(step.u, [1.0, 1.0])
     assert np.array_equal(step.v, catax.tca._sign(R @ step.u))
+
+
+# From its 32 starts, criss-cross on this residual meets exact zeros in R @ u
+# on 24 paths; 25 paths rise before they stop, 18 reach a fixed point and 14
+# stop on a plateau.
+TIE_RESIDUAL = np.array(
+    [[0, -2, -2, -2, -2], [1, 0, 1, -1, 1], [1, -1, 0, 2, 2], [2, -1, 1, 2, 1]], dtype=float
+)
+
+
+def integer_residuals():
+    """Residuals whose products with sign vectors are exact in any order."""
+    residuals = [TIE_RESIDUAL]
+    residuals.extend(exact_residual(counts).astype(float) for counts in random_counts(10))
+    residuals.extend(tie_heavy_matrices(np.random.default_rng(11), 10)[::2])  # not thirds
+    return residuals
+
+
+def sign_starts(J, count, seed):
+    """Every sign vector of length ``J`` if there are at most ``count``,
+    else ``count`` seeded random ones; one per column."""
+    if 2**J <= count:
+        return np.array(list(itertools.product((-1.0, 1.0), repeat=J))).T
+    return np.random.default_rng(seed).integers(0, 2, size=(J, count)) * 2.0 - 1.0
+
+
+def batched_fixed_points(R, U0):
+    U = U0.copy()
+    tol = catax.tca._SHORTLIST_RTOL * np.abs(R).sum()
+    obj = catax.tca._criss_cross(R, U, tol)
+    return U, obj
+
+
+def assert_matches_oracle(R, U0, exact):
+    U, obj = batched_fixed_points(R, U0)
+    for i in range(U0.shape[1]):
+        u, v, delta = criss_cross(R, U0[:, i])
+        np.testing.assert_array_equal(U[:, i], u)
+        Ru = R @ U[:, i]  # the step's re-score expression
+        np.testing.assert_array_equal(catax.tca._sign(Ru), v)
+        assert float(np.abs(Ru).sum()) == delta
+        if exact:
+            assert obj[i] == delta
+        else:
+            assert obj[i] == pytest.approx(delta, rel=1e-12)
+    return U
+
+
+def test_batched_criss_cross_matches_oracle_on_integer_residuals():
+    # Small integers make every product exact, so the batched ascent must take
+    # each start through the same sign ties and plateaus as the one-start
+    # loop, and a start's fixed point must not depend on the rest of its batch.
+    for R in integer_residuals():
+        U0 = sign_starts(R.shape[1], 64, seed=R.size)
+        U = assert_matches_oracle(R, U0, exact=True)
+        for i in range(U0.shape[1]):
+            alone, _ = batched_fixed_points(R, U0[:, [i]])
+            np.testing.assert_array_equal(alone[:, 0], U[:, i])
+        reversed_batch, _ = batched_fixed_points(R, U0[:, ::-1])
+        np.testing.assert_array_equal(reversed_batch, U[:, ::-1])
+
+
+@pytest.mark.parametrize("shape", [(60, 300), (300, 60)])
+def test_batched_criss_cross_matches_oracle_on_gaussian_residuals(shape):
+    R = np.random.default_rng(sum(shape)).normal(size=shape)
+    U0 = np.hstack((catax.tca._start_signs(R, 10).T, sign_starts(shape[1], 20, seed=1)))
+    assert_matches_oracle(R, U0, exact=False)
+
+
+def shortlist_residuals():
+    rng = np.random.default_rng(4)
+    residuals = [rng.normal(size=(60, 300)), rng.normal(size=(300, 60))]
+    residuals.append(poisson_model((25, 120), seed=5).D)
+    residuals.extend(integer_residuals())
+    # thirds of larger tie-heavy matrices: tied fixed points whose batched
+    # objectives and re-scored values round differently
+    for _ in range(120):
+        residuals.append(rng.integers(-1, 2, size=rng.integers(21, 60, size=2)) / 3)
+    return residuals
+
+
+def test_iterative_shortlist_keeps_best(monkeypatch):
+    # Re-scoring every fixed point, not only those the batched objectives put
+    # within the window, must pick the same u, v and delta.
+    residuals = shortlist_residuals()
+    steps = [tsvd_step_iterative(R, restarts=20, seed=3) for R in residuals]
+    monkeypatch.setattr(catax.tca, "_SHORTLIST_RTOL", 1.0)
+    for R, step in zip(residuals, steps):
+        every = tsvd_step_iterative(R, restarts=20, seed=3)
+        np.testing.assert_array_equal(every.u, step.u)
+        np.testing.assert_array_equal(every.v, step.v)
+        assert every.delta == step.delta
+
+
+def test_iterative_scale_invariant():
+    # Power-of-two scaling is exact, and the decrease check and the shortlist
+    # window are relative to sum|R|: same u and v, delta scaled exactly.
+    for R in shortlist_residuals():
+        base = tsvd_step_iterative(R)
+        for k in (-40, 10):
+            step = tsvd_step_iterative(R * 2.0**k)
+            np.testing.assert_array_equal(step.u, base.u)
+            np.testing.assert_array_equal(step.v, base.v)
+            assert step.delta == base.delta * 2.0**k
 
 
 def test_decompose_diag():
