@@ -17,7 +17,6 @@ from .contingency import CorrespondenceModel, _profile_deviations
 from .decomposition import (
     CA,
     FactorDecomposition,
-    empty_decomposition,
     numerical_rank,
     orient_axes,
     resolve_k,
@@ -38,12 +37,13 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
     ----------
     k : int, "full" or None
         Number of axes; "full" (default) extracts the numerical rank of
-        ``D``.  A rank-0 model yields an empty decomposition.
+        ``D``, so a rank-0 model gives zero axes.
 
     Raises
     ------
     ValueError
-        If ``k`` exceeds the numerical rank.
+        If an integer ``k`` exceeds the numerical rank, so any ``k >= 1``
+        on a rank-0 model.
 
     Notes
     -----
@@ -53,12 +53,7 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
     columns are formed, by one product with ``D``.
     """
     rank = numerical_rank(model)
-    if rank == 0:
-        return empty_decomposition(model, CA)
     k = resolve_k(k, rank)
-    if k == 0:
-        return empty_decomposition(model, CA)
-
     s, B = model._short_svd
     s = s[:k]
     wide = model.shape[0] < model.shape[1]

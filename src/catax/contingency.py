@@ -290,19 +290,25 @@ def load_table(
         When true, all-zero rows/columns are removed (and reported through
         the module logger) instead of being an error.
     delimiter : str, optional
-        Explicit field separator, bypassing detection.
+        Explicit one-character field separator, bypassing detection.
 
     Raises
     ------
     InvalidTableError
-        Malformed cell, duplicate label, zero marginal with ``drop_empty``
+        Delimiter that is not one character, input that is not UTF-8 text,
+        malformed cell, duplicate label, zero marginal with ``drop_empty``
         unset, or a table smaller than 2x2 after any dropping.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+    if delimiter is not None and len(delimiter) != 1:
+        raise InvalidTableError(f"delimiter must be one character, got {delimiter!r}")
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidTableError(f"input is not {exc.encoding} text ({exc.reason})") from None
     if not text.strip():
         raise InvalidTableError("empty input")
     if delimiter is None:
@@ -348,10 +354,6 @@ def load_table(
         counts, row_labels, col_labels = _drop_empty(counts, row_labels, col_labels)
     else:
         _reject_empty(counts, row_labels, col_labels)
-    if counts.shape[0] < 2 or counts.shape[1] < 2:
-        raise InvalidTableError(
-            f"table must be at least 2x2, got {counts.shape[0]}x{counts.shape[1]}"
-        )
     return ContingencyTable(tuple(row_labels), tuple(col_labels), counts)
 
 

@@ -39,7 +39,8 @@ class FactorDecomposition:
     col_scores : (J, k) ndarray
         Factor scores ``g_alpha(j)``.
     rank : int
-        Numerical rank of the residual ``D``; ``k <= rank``.
+        Numerical rank of the model's residual ``D``, whatever ``k`` is
+        (also when ``k == 0``); ``k <= rank``.
     row_labels, col_labels : tuple of str
         Carried over from the model for reports and maps.
     sign_vectors : tuple of (u, v) pairs, TCA only
@@ -147,20 +148,3 @@ def orient_axes(
             if sign_vectors is not None:
                 u, v = sign_vectors[alpha]
                 sign_vectors[alpha] = (-u, -v)
-
-
-def empty_decomposition(
-    model: CorrespondenceModel, method: str, rank: int = 0
-) -> FactorDecomposition:
-    """Zero-axis decomposition: independence models, or a truncated run."""
-    I, J = model.shape
-    return FactorDecomposition(
-        method=method,
-        deltas=np.empty(0),
-        row_scores=np.empty((I, 0)),
-        col_scores=np.empty((J, 0)),
-        rank=rank,
-        row_labels=model.row_labels,
-        col_labels=model.col_labels,
-        sign_vectors=() if method == TCA else None,
-    )

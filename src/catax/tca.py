@@ -32,7 +32,6 @@ from .contingency import CorrespondenceModel, _freeze, _profile_deviations
 from .decomposition import (
     TCA,
     FactorDecomposition,
-    empty_decomposition,
     numerical_rank,
     orient_axes,
     resolve_k,
@@ -315,7 +314,8 @@ def tca_decompose(
     -----
     RuntimeWarning
         When the residual is exhausted (``delta < 1e-12``) before ``k`` axes;
-        the decomposition is truncated rather than failing.
+        the decomposition is truncated rather than failing, and still
+        carries the model's numerical ``rank``.
 
     Notes
     -----
@@ -330,17 +330,18 @@ def tca_decompose(
         raise ValueError(f"unknown strategy {strategy!r}")
     rank = numerical_rank(model)
     k = resolve_k(k, rank)
-    if k == 0:
-        return empty_decomposition(model, TCA)
 
     R = model.D.copy()
     I, J = R.shape
     enumerable = min(I, J) <= EXHAUSTIVE_LIMIT
     rows = max(1, _DEFLATE_BLOCK_ELEMENTS // J)
     seed_seq = np.random.SeedSequence(seed)
-    deltas: list[float] = []
-    row_cols: list[np.ndarray] = []
-    col_cols: list[np.ndarray] = []
+    # Column-major, so each axis is written contiguously and the C-ordered
+    # arrays the decomposition keeps are allocated after the loop, when
+    # FactorDecomposition copies them, not under the solver's temporaries.
+    deltas = np.empty(k)
+    row_scores = np.empty((I, k), order="F")
+    col_scores = np.empty((J, k), order="F")
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     for alpha in range(k):
         if strategy == "exhaustive" or (strategy == "auto" and enumerable):
@@ -356,21 +357,19 @@ def tca_decompose(
             break
         Ru = R @ step.u
         vR = step.v @ R
-        deltas.append(step.delta)
-        row_cols.append(Ru / model.r)
-        col_cols.append(vR / model.c)
+        deltas[alpha] = step.delta
+        row_scores[:, alpha] = Ru / model.r
+        col_scores[:, alpha] = vR / model.c
         pairs.append((np.asarray(step.u), np.asarray(step.v)))
         for b in range(0, I, rows):
             R[b : b + rows] -= np.outer(Ru[b : b + rows], vR) / step.delta
 
-    if not deltas:
-        return empty_decomposition(model, TCA, rank=rank)
-    row_scores = np.column_stack(row_cols)
-    col_scores = np.column_stack(col_cols)
+    n = len(pairs)  # axes extracted: k, or fewer when the residual ran out
+    row_scores, col_scores = row_scores[:, :n], col_scores[:, :n]
     orient_axes(row_scores, col_scores, pairs)
     return FactorDecomposition(
         method=TCA,
-        deltas=np.asarray(deltas),
+        deltas=deltas[:n],
         row_scores=row_scores,
         col_scores=col_scores,
         rank=rank,

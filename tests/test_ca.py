@@ -56,6 +56,28 @@ def test_k_exceeds_rank():
         ca_decompose(DIAG_MODEL, k=2)
 
 
+def test_independence_rejects_positive_k():
+    counts = np.outer([4.0, 6.0], [3.0, 5.0, 2.0])
+    model = build_model(ContingencyTable(("a", "b"), ("x", "y", "z"), counts))
+    for decompose in (ca_decompose, tca_decompose):
+        with pytest.raises(ValueError, match="exceeds numerical rank"):
+            decompose(model, k=1)
+
+
+def test_zero_axes_keep_rank(models30):
+    # models30[2] is wide (5x8), so both orientations of the CA solution run
+    for model in (models30[0], models30[2]):
+        rank = numerical_rank(model)
+        assert rank >= 2
+        I, J = model.shape
+        ca, tca = ca_decompose(model, k=0), tca_decompose(model, k=0)
+        for dec in (ca, tca):
+            assert dec.k == 0 and dec.rank == rank
+            assert dec.row_scores.shape == (I, 0)
+            assert dec.col_scores.shape == (J, 0)
+        assert tca.sign_vectors == ()
+
+
 def test_partial_k():
     model = random_models(1, seed=5)[0]
     dec = ca_decompose(model, k=2)

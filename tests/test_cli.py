@@ -71,6 +71,29 @@ def test_negative_cell_exits_1(tmp_path, capsys):
     assert "negative" in capsys.readouterr().err
 
 
+def run_module(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "catax", *args], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_bad_delimiter_exits_1(tmp_path, delimiter):
+    proc = run_module("--input", write_csv(tmp_path, COUNTS), "--delimiter", delimiter)
+    assert proc.returncode == 1
+    assert "error: delimiter must be one character" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_utf8_input_exits_1(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"label,c0,c1\nr\xff,1,2\nr1,3,4\n")
+    proc = run_module("--input", str(path))
+    assert proc.returncode == 1
+    assert "error: input is not utf-8 text" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_zero_row_exits_1_without_drop_empty(tmp_path, capsys):
     counts = [[4, 1, 0], [0, 0, 0], [1, 2, 3]]
     path = write_csv(tmp_path, counts)

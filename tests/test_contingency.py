@@ -159,6 +159,19 @@ def test_drop_empty_below_minimum_size():
         load_table(io.StringIO(text), drop_empty=True)
 
 
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_delimiter_must_be_one_character(delimiter):
+    with pytest.raises(InvalidTableError, match="delimiter must be one character"):
+        load_table(io.StringIO("A;x;y\nr1;2;0\nr2;0;2"), delimiter=delimiter)
+
+
+def test_non_utf8_input_rejected(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"A,x,y\nr\xff,2,0\nr2,0,2\n")
+    with pytest.raises(InvalidTableError, match="not utf-8 text"):
+        load_table(path)
+
+
 def test_load_from_path(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("A,x,y\nr1,2,0\nr2,0,2", encoding="utf-8")

@@ -462,6 +462,23 @@ def test_truncation_warns(monkeypatch):
     assert dec.k < dec.rank
 
 
+def test_truncation_keeps_rank_and_first_axis(models30, monkeypatch):
+    model = models30[1]
+    full = tca_decompose(model)
+    assert full.deltas[1] < full.deltas[0]
+    monkeypatch.setattr(catax.tca, "_DELTA_FLOOR", (full.deltas[0] + full.deltas[1]) / 2)
+    with pytest.warns(RuntimeWarning, match="residual exhausted after 1 axes"):
+        dec = tca_decompose(model)
+    assert dec.k == 1 and dec.rank == full.rank
+    assert dec.row_scores.shape == (model.shape[0], 1)
+    assert dec.col_scores.shape == (model.shape[1], 1)
+    assert dec.deltas[0] == full.deltas[0]
+    np.testing.assert_array_equal(dec.row_scores[:, 0], full.row_scores[:, 0])
+    np.testing.assert_array_equal(dec.col_scores[:, 0], full.col_scores[:, 0])
+    for got, want in zip(dec.sign_vectors[0], full.sign_vectors[0]):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_decompose_errors():
     with pytest.raises(ValueError, match="exceeds numerical rank"):
         tca_decompose(DIAG_MODEL, k=2)
