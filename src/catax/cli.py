@@ -37,7 +37,7 @@ from .tca import _STRATEGIES, tca_decompose, tca_total_dispersion
 __all__ = ["AnalysisConfig", "build_parser", "run", "main"]
 
 _METHODS = ("ca", "tca", "both")
-_AXES = ("rows", "cols", "both")
+_AXES = (ROWS, COLS, "both")
 
 
 @dataclass(frozen=True)

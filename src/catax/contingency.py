@@ -14,6 +14,7 @@ import io
 import itertools
 import logging
 import os
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, NoReturn, Sequence
@@ -214,7 +215,7 @@ def _profile_deviations(
 
 
 def _detect_delimiter(sample: str) -> str:
-    first = sample.splitlines()[0] if sample else ""
+    first = re.match(r"[^\r\n]*", sample).group()  # csv ends a record at \r or \n
     counts = {d: first.count(d) for d in _DELIMITERS}
     best = max(counts, key=counts.get)
     if counts[best] == 0:
@@ -222,28 +223,23 @@ def _detect_delimiter(sample: str) -> str:
     return best
 
 
-def _check_count(value: float, row_label: str, col_label: str) -> float:
+def _check_count(value: float, row_label: str, col_label: str) -> None:
     if not np.isfinite(value):
         raise InvalidTableError(f"cell ({row_label!r}, {col_label!r}): not finite")
     if value < 0:
         raise InvalidTableError(f"cell ({row_label!r}, {col_label!r}): negative count {value}")
-    return value
-
-
-def _parse_cell(text: str, row_label: str, col_label: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise InvalidTableError(
-            f"cell ({row_label!r}, {col_label!r}): not a number: {text!r}"
-        ) from None
-    return _check_count(value, row_label, col_label)
 
 
 def _reject_row(row: Sequence[str], label: str, col_labels: Sequence[str]) -> NoReturn:
     """Raise the labelled error of the first bad cell in a data row known to hold one."""
     for cell, col in zip(row[1:], col_labels):
-        _parse_cell(cell, label, col)
+        try:
+            value = float(cell)
+        except ValueError:
+            raise InvalidTableError(
+                f"cell ({label!r}, {col!r}): not a number: {cell!r}"
+            ) from None
+        _check_count(value, label, col)
     # numpy's parse and float() agree, so a row that failed one fails the other
     raise InvalidTableError(f"row {label!r}: a cell could not be parsed")
 
@@ -274,6 +270,8 @@ def load_table(
     The first row holds column labels (an optional leading corner cell is
     ignored); the first field of every other row is the row label.  The
     delimiter is auto-detected among comma, semicolon and tab unless given.
+    A leading byte-order mark (U+FEFF, as spreadsheet exports write) is
+    ignored.
 
     Cells are read as ``float()`` reads them (surrounding whitespace,
     ``1_000``, ``+5``, ``1e3`` and non-ASCII digits are accepted).  Each data
@@ -295,9 +293,10 @@ def load_table(
     Raises
     ------
     InvalidTableError
-        Delimiter that is not one character, input that is not UTF-8 text,
-        malformed cell, duplicate label, zero marginal with ``drop_empty``
-        unset, or a table smaller than 2x2 after any dropping.
+        Delimiter that is not one character or that does not split the
+        first data row, input that is not UTF-8 text, malformed cell,
+        duplicate label, zero marginal with ``drop_empty`` unset, or a table
+        smaller than 2x2 after any dropping.
     """
     if delimiter is not None and len(delimiter) != 1:
         raise InvalidTableError(f"delimiter must be one character, got {delimiter!r}")
@@ -309,6 +308,7 @@ def load_table(
                 text = handle.read()
     except UnicodeDecodeError as exc:
         raise InvalidTableError(f"input is not {exc.encoding} text ({exc.reason})") from None
+    text = text.removeprefix("\ufeff")
     if not text.strip():
         raise InvalidTableError("empty input")
     if delimiter is None:
@@ -319,6 +319,10 @@ def load_table(
     first = next(rows, None)
     if first is None:
         raise InvalidTableError("need a header row and at least two data rows")
+    if len(first) < 2:
+        raise InvalidTableError(
+            f"delimiter {delimiter!r} does not split data row {first[0]!r} into fields"
+        )
     width = len(first)
     if len(header) == width:
         col_labels = [label.strip() for label in header[1:]]  # corner cell present
@@ -350,39 +354,21 @@ def load_table(
     counts = counts[: len(row_labels)]
     _reject_counts(counts, row_labels, col_labels)
 
-    if drop_empty:
-        counts, row_labels, col_labels = _drop_empty(counts, row_labels, col_labels)
-    else:
-        _reject_empty(counts, row_labels, col_labels)
-    return ContingencyTable(tuple(row_labels), tuple(col_labels), counts)
-
-
-def _reject_empty(
-    counts: np.ndarray, row_labels: Sequence[str], col_labels: Sequence[str]
-) -> None:
-    for axis, labels, name in ((1, row_labels, "row"), (0, col_labels, "column")):
-        sums = counts.sum(axis=axis)
-        if np.any(sums == 0):
-            bad = [labels[i] for i in np.flatnonzero(sums == 0)]
+    keep = (counts.sum(axis=1) > 0, counts.sum(axis=0) > 0)
+    labels = [row_labels, col_labels]
+    for axis, name in enumerate(("row", "column")):
+        if keep[axis].all():
+            continue
+        empty = [labels[axis][i] for i in np.flatnonzero(~keep[axis])]
+        if not drop_empty:
             raise InvalidTableError(
-                f"all-zero {name}(s) {bad}; rerun with drop_empty to remove them"
+                f"all-zero {name}(s) {empty}; rerun with drop_empty to remove them"
             )
-
-
-def _drop_empty(
-    counts: np.ndarray, row_labels: Sequence[str], col_labels: Sequence[str]
-) -> tuple[np.ndarray, list[str], list[str]]:
-    row_keep = counts.sum(axis=1) > 0
-    col_keep = counts.sum(axis=0) > 0
-    for keep, labels, name in ((row_keep, row_labels, "row"), (col_keep, col_labels, "column")):
-        dropped = [labels[i] for i in np.flatnonzero(~keep)]
-        if dropped:
-            logger.warning("dropping all-zero %s(s): %s", name, ", ".join(dropped))
-    return (
-        counts[np.ix_(row_keep, col_keep)],
-        [l for l, k in zip(row_labels, row_keep) if k],
-        [l for l, k in zip(col_labels, col_keep) if k],
-    )
+        logger.warning("dropping all-zero %s(s): %s", name, ", ".join(empty))
+        labels[axis] = list(itertools.compress(labels[axis], keep[axis]))
+    if not (keep[0].all() and keep[1].all()):
+        counts = counts[np.ix_(*keep)]
+    return ContingencyTable(tuple(labels[0]), tuple(labels[1]), counts)
 
 
 def build_model(table: ContingencyTable) -> CorrespondenceModel:

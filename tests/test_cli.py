@@ -85,6 +85,15 @@ def test_bad_delimiter_exits_1(tmp_path, delimiter):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["--drop-empty"]], ids=["keep", "drop-empty"])
+def test_absent_delimiter_exits_1(tmp_path, flags):
+    proc = run_module("--input", write_csv(tmp_path, COUNTS), "--delimiter", ";", *flags)
+    assert proc.returncode == 1
+    assert "error: delimiter ';' does not split data row" in proc.stderr
+    assert "all-zero" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_non_utf8_input_exits_1(tmp_path):
     path = tmp_path / "table.csv"
     path.write_bytes(b"label,c0,c1\nr\xff,1,2\nr1,3,4\n")

@@ -159,6 +159,65 @@ def test_drop_empty_below_minimum_size():
         load_table(io.StringIO(text), drop_empty=True)
 
 
+def test_zero_row_reported_before_zero_column():
+    with pytest.raises(InvalidTableError) as excinfo:
+        load_table(io.StringIO("A,x,y,z\nr1,1,2,0\nr2,0,0,0\nr3,2,1,0"))
+    assert str(excinfo.value) == (
+        "all-zero row(s) ['r2']; rerun with drop_empty to remove them"
+    )
+
+
+def test_drop_empty_logs_rows_then_columns(caplog):
+    text = "A,x,y,z\nr1,1,2,0\nr2,0,0,0\nr3,2,1,0"
+    with caplog.at_level(logging.WARNING, logger="catax.contingency"):
+        table = load_table(io.StringIO(text), drop_empty=True)
+    assert [r.getMessage() for r in caplog.records] == [
+        "dropping all-zero row(s): r2",
+        "dropping all-zero column(s): z",
+    ]
+    assert table.row_labels == ("r1", "r3")
+    assert table.col_labels == ("x", "y")
+    np.testing.assert_array_equal(table.counts, [[1, 2], [2, 1]])
+
+
+def test_drop_empty_without_empty_lines_changes_nothing(caplog):
+    text = "A,x,y,z\nr1,1,2,0\nr2,0,3,4\nr3,2,1,0"
+    with caplog.at_level(logging.WARNING, logger="catax.contingency"):
+        dropped = load_table(io.StringIO(text), drop_empty=True)
+    kept = load_table(io.StringIO(text))
+    assert not caplog.records
+    assert dropped.row_labels == kept.row_labels
+    assert dropped.col_labels == kept.col_labels
+    np.testing.assert_array_equal(dropped.counts, kept.counts)
+
+
+@pytest.mark.parametrize("drop_empty", [False, True])
+def test_delimiter_absent_from_data_rows(caplog, drop_empty):
+    # every line is one field: named as a delimiter error, not as empty rows
+    text = "A,x,y\nr1,2,0\nr2,0,2"
+    with caplog.at_level(logging.WARNING, logger="catax.contingency"):
+        with pytest.raises(InvalidTableError) as excinfo:
+            load_table(io.StringIO(text), delimiter=";", drop_empty=drop_empty)
+    assert str(excinfo.value) == (
+        "delimiter ';' does not split data row 'r1,2,0' into fields"
+    )
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("header", ["x,y", "A,x,y"], ids=["no-corner", "corner"])
+def test_byte_order_mark_ignored_in_file(tmp_path, header):
+    path = tmp_path / "t.csv"
+    path.write_bytes(f"\ufeff{header}\nr1,2,0\nr2,0,2\n".encode("utf-8"))
+    table = load_table(path)
+    assert table.col_labels == ("x", "y")
+    assert table.row_labels == ("r1", "r2")
+
+
+def test_byte_order_mark_ignored_in_stream():
+    table = load_table(io.StringIO("\ufeffx,y\nr1,2,0\nr2,0,2"))
+    assert table.col_labels == ("x", "y")
+
+
 @pytest.mark.parametrize("delimiter", ["", ";;"])
 def test_delimiter_must_be_one_character(delimiter):
     with pytest.raises(InvalidTableError, match="delimiter must be one character"):

@@ -176,6 +176,23 @@ def test_exhaustive_exact_vector(
             np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, expected)
 
 
+@pytest.mark.parametrize("cap", [1, 4])
+@pytest.mark.parametrize("rtol", [None, 1.0], ids=["default-rtol", "every-class"])
+def test_exhaustive_shortlist_cap(monkeypatch, cap, rtol):
+    # Past the cap the shortlist keeps its first classes plus the first
+    # pass's argmax.  Small-integer scores are exact in both passes, so the
+    # certified u is still the lexicographically first maximizer; with the
+    # window over every class, the argmax is rarely among the first few.
+    monkeypatch.setattr(catax.tca, "_SHORTLIST_CAP", cap)
+    if rtol is not None:
+        monkeypatch.setattr(catax.tca, "_SHORTLIST_RTOL", rtol)
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        M = rng.integers(-2, 3, size=rng.integers(2, 11, size=2)).astype(float)
+        if M.any():
+            np.testing.assert_array_equal(tsvd_step_exhaustive(M).u, brute_step_u(M))
+
+
 def test_exhaustive_scale_invariant(models30):
     # Power-of-two scaling is exact, so the tie window, being relative to
     # sum|R|, must shortlist the same classes: same u, delta scaled exactly.
