@@ -10,19 +10,23 @@ successive axes conjugate (``sum_i f_alpha(i) sign(f_beta(i)) r_i = 0`` for
 
 The maximization is combinatorial.  Below the exhaustive threshold the global
 optimum is found by enumerating the 2^(m-1) sign classes of the smaller axis,
-m <= ``EXHAUSTIVE_LIMIT``: a meet-in-the-middle split of each sign vector
-scores every class of an I x m matrix with O(I * 2^(m-1)) additions, and the
-classes within a window relative to ``sum|R|`` of the best are re-scored
-exactly, ties going to the lexicographically smallest vector.  Larger
-problems use criss-cross ascent (``v <- sign(R u)``, ``u <- sign(R^T v)``;
-Choulakian, Psychometrika 71(2), 2006) from deterministic and seeded random
-starts, all advanced together: each half-step is one matrix-matrix product
-over every start still moving.  The fixed points within the same relative
-window of the best are re-scored one by one, with the same tie-break.
+m <= ``EXHAUSTIVE_LIMIT``, in two stages.  A float32 screen scores every class
+of the n x m matrix (n the larger side), scaled exactly by a power of two so
+that its largest entry lies in [0.5, 1), with O(n * 2^(m-1)) additions by a
+meet-in-the-middle split of each sign vector.  The classes within a window of
+the best, relative to ``sum|R|`` and proven wider than twice the screen's
+rounding (about (n + m + 2) * 2^-23), are then re-scored exactly in float64,
+ties going to the lexicographically smallest vector.  Larger problems use
+criss-cross ascent (``v <- sign(R u)``, ``u <- sign(R^T v)``; Choulakian,
+Psychometrika 71(2), 2006) from deterministic and seeded random starts, all
+advanced together: each half-step is one matrix-matrix product over every
+start still moving.  The fixed points within a relative window of the best
+are re-scored one by one, with the same tie-break.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -55,14 +59,17 @@ _STRATEGIES = ("auto", "exhaustive", "iterative")
 # Principal values below this are treated as an exhausted residual.
 _DELTA_FLOOR = 1e-12
 
-# Both solvers score candidates in bulk first (the enumeration by meet in the
-# middle, criss-cross by matrix-matrix products) and then re-score, one
-# matrix-vector product each, those within this fraction of sum|M| of the
-# best bulk score, so both report values from the same expression.  The
-# window must exceed the bulk pass's rounding error, at most about
-# (I + J) * eps * sum|M| for an I x J matrix, so the true maximizer is always
-# re-scored; being relative, it holds on near-independent tables without
-# making every candidate a finalist.  The same fraction of sum|R| bounds the
+# Both solvers score candidates in bulk first (the enumeration by a float32
+# meet-in-the-middle screen, criss-cross by float64 matrix-matrix products)
+# and then re-score, one float64 matrix-vector product each, those within a
+# window relative to sum|M| of the best bulk score, so both report values
+# from the same expression.  The window must exceed twice the bulk pass's
+# rounding error, so the true maximizer is always re-scored; being relative,
+# it holds on near-independent tables without making every candidate a
+# finalist.  Criss-cross uses this fraction, above its float64 error of about
+# (I + J) * eps * sum|M|; the float32 screen widens it to its own bound,
+# about (n + m + 2) * 2^-23 for an n x m matrix (see `_enumerate_max`), and
+# keeps this fraction as a floor.  The same fraction of sum|R| bounds the
 # rounding that criss-cross may show as a decrease of its objective.
 _SHORTLIST_RTOL = 1e-9
 _SHORTLIST_CAP = 1 << 16
@@ -72,7 +79,7 @@ _SHORTLIST_CAP = 1 << 16
 # shorter than half its 8192-element ufunc buffer (numpy 2.4).
 _LOW_BITS = 12
 # Size of the first pass's scoring block, and the bound on its low-half
-# table, in float64 elements (16 MB).
+# table, in float32 elements (8 MB).
 _BLOCK_ELEMENTS = 1 << 21
 
 # Deflation updates the residual in place, and the iterative step sums |R|,
@@ -123,36 +130,60 @@ def _signs(codes: np.ndarray, m: int) -> np.ndarray:
 def _enumerate_max(M: np.ndarray) -> np.ndarray:
     """Global maximizer of ``||M x||_1`` over sign classes of x.
 
-    Two passes.  The first scores every class by meet in the middle
-    (Horowitz & Sahni, JACM 21(2), 1974): code ``a * 2^l + b`` splits x into a
-    high half (the fixed ``x_0 = +1`` and the ``h`` most significant free
-    bits, code ``a``) and a low half (the other ``l`` bits, code ``b``), so
-    its score is ``sum_i |P[i, a] + Q[i, b]|`` with ``Q = M_l X_l^T`` and
-    ``P = M_h X_h^T``, the latter one block of codes ``a`` at a time, summed
+    Two passes.  The first screens every class in float32 by meet in the
+    middle (Horowitz & Sahni, JACM 21(2), 1974): code ``a * 2^l + b`` splits
+    x into a high half (the fixed ``x_0 = +1`` and the ``h`` most significant
+    free bits, code ``a``) and a low half (the other ``l`` bits, code ``b``),
+    so its score is ``sum_i |P[i, a] + Q[i, b]|`` with ``Q = Ms_l X_l^T`` and
+    ``P = Ms_h X_h^T``, the latter one block of codes ``a`` at a time, summed
     in one reused buffer: ``I * 2^(m-1)`` additions in place of the dense
-    ``I * m * 2^(m-1)`` multiply-adds.  The second pass re-scores the
-    classes within `_SHORTLIST_RTOL` of the best, relative to ``sum|M|``,
-    one by one with ``np.abs(M @ x).sum()``; ties on the re-scored value
-    resolve to the lexicographically smallest vector.
+    ``I * m * 2^(m-1)`` multiply-adds.  ``Ms = M * 2^-e`` has its largest
+    entry in [0.5, 1), an exact scaling, so the screen can neither overflow
+    nor underflow to matter and decides alike at every power-of-two scale;
+    ``P`` and ``Q`` are formed in float64 and cast.  The second pass re-scores
+    the classes within the screen's rounding window of the best (see below)
+    one by one in float64 with ``np.abs(M @ x).sum()``; ties on the re-scored
+    value resolve to the lexicographically smallest vector.  This is the
+    mixed-precision pattern of Higham & Mary (Acta Numerica 31, 2022): the
+    cheap pass only selects, the exact pass decides.
     """
     npoints, m = M.shape
+    A = np.abs(M)
+    e = math.frexp(A.max())[1]
+    Ms = np.ldexp(M, -e)
     low = min(m - 1, _LOW_BITS, max(0, (_BLOCK_ELEMENTS // npoints).bit_length() - 1))
     high = m - 1 - low
-    Q = M[:, high + 1 :] @ _signs(np.arange(1 << low), low + 1)[:, 1:].T
+    Q = (Ms[:, high + 1 :] @ _signs(np.arange(1 << low), low + 1)[:, 1:].T).astype(np.float32)
     block = max(1, _BLOCK_ELEMENTS // (npoints << low))
-    buf = np.empty((npoints, min(block, 1 << high), 1 << low))
-    vals = np.empty(1 << (m - 1))  # code order, which is lexicographic order
+    buf = np.empty((npoints, min(block, 1 << high), 1 << low), dtype=np.float32)
+    vals = np.empty(1 << (m - 1), dtype=np.float32)  # code order: lexicographic
     for a0 in range(0, 1 << high, block):
         a1 = min(a0 + block, 1 << high)
-        P = M[:, : high + 1] @ _signs(np.arange(a0, a1), high + 1).T
+        P = (Ms[:, : high + 1] @ _signs(np.arange(a0, a1), high + 1).T).astype(np.float32)
         scores = buf[:, : a1 - a0]
         np.add(P[:, :, None], Q[:, None, :], out=scores)
         np.abs(scores, out=scores)
         scores.sum(axis=0, out=vals[a0 << low : a1 << low].reshape(a1 - a0, 1 << low))
     best = float(vals.max())
-    if best < _DELTA_FLOOR:
+    if best < math.ldexp(_DELTA_FLOOR, -e):
         return np.ones(m)  # exhausted residual: every class ties at ~0
-    candidates = np.flatnonzero(vals >= best - _SHORTLIST_RTOL * np.abs(M).sum())
+    # Window.  With u = 2^-24 (float32 unit roundoff) and S = sum|Ms| >= 0.5,
+    # each screened value is within gamma_(I+1) * S of its exact score
+    # (gamma_k = k u / (1 - k u); Higham, Accuracy and Stability, Lemma 3.1):
+    # the casts of P and Q round by at most u (|P| + |Q|) per point together,
+    # their sum once more, and the I - 1 float32 additions of the points, in
+    # whatever order, at most gamma_(I-1) times the sum of their terms.  The
+    # best screened value and the true maximizer's can each be off by that
+    # much, so the window is twice it; counting I + 2 roundings pays for the
+    # float32 rounding of the threshold ``best - window`` in the comparison.
+    # The m * 2u term covers the float64 products that form P and Q (at most
+    # gamma_m in float64) and underflow (at most I * 2^-149, against S >= 0.5)
+    # many times over.  Past k u >= 1 the bound is void and every class is
+    # kept, up to the cap.  _SHORTLIST_RTOL stays a floor on the fraction.
+    k_u = (npoints + 2) * 2.0**-24
+    rtol = 2 * k_u / (1 - k_u) + m * 2.0**-23 if k_u < 1 else np.inf
+    window = max(_SHORTLIST_RTOL, rtol) * math.ldexp(A.sum(), -e)  # sum|Ms|
+    candidates = np.flatnonzero(vals >= best - window)
     if candidates.size > _SHORTLIST_CAP:
         head = candidates[:_SHORTLIST_CAP]
         argmax = int(np.argmax(vals))
@@ -361,8 +392,9 @@ def tca_decompose(
         row_scores[:, alpha] = Ru / model.r
         col_scores[:, alpha] = vR / model.c
         pairs.append((np.asarray(step.u), np.asarray(step.v)))
-        for b in range(0, I, rows):
-            R[b : b + rows] -= np.outer(Ru[b : b + rows], vR) / step.delta
+        if alpha + 1 < k:  # the residual after the last axis is never read
+            for b in range(0, I, rows):
+                R[b : b + rows] -= np.outer(Ru[b : b + rows], vR) / step.delta
 
     n = len(pairs)  # axes extracted: k, or fewer when the residual ran out
     row_scores, col_scores = row_scores[:, :n], col_scores[:, :n]

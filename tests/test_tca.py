@@ -212,6 +212,75 @@ def test_exhaustive_scale_invariant(models30):
             assert step.delta == base.delta * scale
 
 
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_exhaustive_extreme_power_of_two_scales(models30, monkeypatch, exponent):
+    # At 2^600 a float32 copy of the residual overflows and at 2^-600 it
+    # underflows to zero; the screen's exact power-of-two normalization must
+    # keep u and delta exact there too.  The exhausted-residual floor is
+    # scaled with the data, so that only the scale changes.
+    residuals = [model.D for model in models30[:10]]
+    residuals.extend(tie_heavy_matrices(np.random.default_rng(17), 10))
+    bases = [tsvd_step_exhaustive(R) for R in residuals]
+    floor = np.ldexp(catax.tca._DELTA_FLOOR, exponent)
+    monkeypatch.setattr(catax.tca, "_DELTA_FLOOR", floor)
+    for R, base in zip(residuals, bases):
+        step = tsvd_step_exhaustive(np.ldexp(R, exponent))
+        np.testing.assert_array_equal(step.u, base.u)
+        assert step.delta == np.ldexp(base.delta, exponent)
+
+
+def test_exhaustive_sub_float32_near_ties():
+    # Small-integer tie-heavy matrices with 2^-40 added to one entry: the
+    # float32 screen cannot see the change and ties the classes exactly, the
+    # float64 re-score breaks the tie, and u must be the brute-force first
+    # maximizer.  Some perturbations must move it, or the test shows nothing.
+    rng = np.random.default_rng(40)
+    moved = 0
+    for M in tie_heavy_matrices(rng, 200)[::2]:  # the integers, not the thirds
+        near = M.copy()
+        near[rng.integers(M.shape[0]), rng.integers(M.shape[1])] += 2.0**-40
+        expected = brute_step_u(near)
+        moved += not np.array_equal(expected, brute_step_u(M))
+        np.testing.assert_array_equal(tsvd_step_exhaustive(near).u, expected)
+    assert moved >= 10
+
+
+def summation_order_residual(n=1500, d=2.0**-15):
+    """A 2n x 2 matrix whose two classes the float32 screen's sums over the
+    points part by ``d / 2`` of ``sum|M|``, far beyond a window that ignores
+    ``n``.
+
+    Under x = (1, 1) the first n rows score 1 and the last n score ``d``;
+    under (1, -1) the other way round.  Summed in row order in float32, the
+    first class adds each ``d`` to a partial sum whose half ulp exceeds it and
+    loses all of them; the second sums them first and keeps them.  A 2^-30
+    nudge, invisible to float32, makes the first class the exact maximizer.
+    """
+    a, b = (1 + d) / 2, (1 - d) / 2
+    M = np.vstack((np.tile([a, b], (n, 1)), np.tile([a, -b], (n, 1))))
+    M[0, 1] += 2.0**-30
+    return M
+
+
+def test_exhaustive_tall_residuals():
+    # The screen's rounding grows with the number of points, and so must its
+    # window: on residuals of about 3000 x 12 (Poisson tables, one deflation
+    # of each, thirds of small integers, and a matrix built so the float32
+    # sums of the two best classes part by 128 * 2^-23 * sum|M|) u must still
+    # be the brute-force first maximizer.
+    rng = np.random.default_rng(3000)
+    residuals = [summation_order_residual()]
+    for seed in range(3):
+        D = poisson_model((3000, 12), seed).D
+        step = tsvd_step_exhaustive(D)
+        residuals.extend((D, D - np.outer(D @ step.u, step.v @ D) / step.delta))
+    for _ in range(2):
+        residuals.append(rng.integers(-2, 3, size=(3000, 12)) / 3)
+    residuals.append(residuals[-1].T)  # the wide orientation enumerates R.T
+    for R in residuals:
+        np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, brute_step_u(R))
+
+
 def test_iterative_diag():
     step = tsvd_step_iterative(np.array([[0.25, -0.25], [-0.25, 0.25]]), restarts=2, seed=0)
     assert step.delta == pytest.approx(1.0, abs=1e-12)
