@@ -15,13 +15,15 @@ of the n x m matrix (n the larger side), scaled exactly by a power of two so
 that its largest entry lies in [0.5, 1), with O(n * 2^(m-1)) additions by a
 meet-in-the-middle split of each sign vector.  The classes within a window of
 the best, relative to ``sum|R|`` and proven wider than twice the screen's
-rounding (about (n + m + 2) * 2^-23), are then re-scored exactly in float64,
-ties going to the lexicographically smallest vector.  Larger problems use
-criss-cross ascent (``v <- sign(R u)``, ``u <- sign(R^T v)``; Choulakian,
-Psychometrika 71(2), 2006) from deterministic and seeded random starts, all
-advanced together: each half-step is one matrix-matrix product over every
-start still moving.  The fixed points within a relative window of the best
-are re-scored one by one, with the same tie-break.
+rounding (about (n + 2) * 2^-23), are then re-scored exactly in float64,
+ties going to the lexicographically smallest vector; past 2^16 survivors,
+all are first scored in float64 by matrix products and narrowed to a 1e-9
+window.  Larger problems use criss-cross ascent (``v <- sign(R u)``,
+``u <- sign(R^T v)``; Choulakian, Psychometrika 71(2), 2006) from
+deterministic and seeded random starts, all advanced together: each half-step
+is one matrix-matrix product over every start still moving.  The fixed points
+within a relative window of the best are re-scored one by one, with the same
+tie-break.
 """
 
 from __future__ import annotations
@@ -66,11 +68,13 @@ _DELTA_FLOOR = 1e-12
 # from the same expression.  The window must exceed twice the bulk pass's
 # rounding error, so the true maximizer is always re-scored; being relative,
 # it holds on near-independent tables without making every candidate a
-# finalist.  Criss-cross uses this fraction, above its float64 error of about
-# (I + J) * eps * sum|M|; the float32 screen widens it to its own bound,
-# about (n + m + 2) * 2^-23 for an n x m matrix (see `_enumerate_max`), and
-# keeps this fraction as a floor.  The same fraction of sum|R| bounds the
-# rounding that criss-cross may show as a decrease of its objective.
+# finalist.  Float64 bulk scores use this fraction, above their error of
+# about (I + J) * eps * sum|M|: criss-cross always, the enumeration when its
+# screen keeps more than _SHORTLIST_CAP classes (see `_enumerate_max`).  The
+# float32 screen uses its own bound, about (n + 2) * 2^-23 for an n x m
+# matrix, far above this fraction, which stays a floor there only so tests
+# can raise it.  The same fraction of sum|R| bounds the rounding that
+# criss-cross may show as a decrease of its objective.
 _SHORTLIST_RTOL = 1e-9
 _SHORTLIST_CAP = 1 << 16
 
@@ -143,9 +147,12 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     ``P`` and ``Q`` are formed in float64 and cast.  The second pass re-scores
     the classes within the screen's rounding window of the best (see below)
     one by one in float64 with ``np.abs(M @ x).sum()``; ties on the re-scored
-    value resolve to the lexicographically smallest vector.  This is the
-    mixed-precision pattern of Higham & Mary (Acta Numerica 31, 2022): the
-    cheap pass only selects, the exact pass decides.
+    value resolve to the lexicographically smallest vector.  When more than
+    ``_SHORTLIST_CAP`` classes pass the screen, all of them are first scored
+    in float64 by matrix products and only those within ``_SHORTLIST_RTOL``
+    of the best go on, so none is dropped on its float32 value alone.  This
+    is the mixed-precision pattern of Higham & Mary (Acta Numerica 31, 2022):
+    the cheap pass only selects, the exact pass decides.
     """
     npoints, m = M.shape
     A = np.abs(M)
@@ -176,18 +183,33 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     # best screened value and the true maximizer's can each be off by that
     # much, so the window is twice it; counting I + 2 roundings pays for the
     # float32 rounding of the threshold ``best - window`` in the comparison.
-    # The m * 2u term covers the float64 products that form P and Q (at most
-    # gamma_m in float64) and underflow (at most I * 2^-149, against S >= 0.5)
-    # many times over.  Past k u >= 1 the bound is void and every class is
-    # kept, up to the cap.  _SHORTLIST_RTOL stays a floor on the fraction.
+    # The float64 products that form P and Q are off by at most gamma_m * S
+    # in float64 (about m * 2^-53 * S) per class, and float32 underflow in
+    # the casts by at most I * 2^-149, under 2^-84 * S for any I < 2^63:
+    # twice their sum is below m * 2^-51 * S.  Past k u >= 1 the bound is
+    # void and every class is a candidate.  The _SHORTLIST_RTOL floor never
+    # binds at the default; tests raise it to make every class a candidate.
     k_u = (npoints + 2) * 2.0**-24
-    rtol = 2 * k_u / (1 - k_u) + m * 2.0**-23 if k_u < 1 else np.inf
+    rtol = 2 * k_u / (1 - k_u) + m * 2.0**-51 if k_u < 1 else np.inf
     window = max(_SHORTLIST_RTOL, rtol) * math.ldexp(A.sum(), -e)  # sum|Ms|
     candidates = np.flatnonzero(vals >= best - window)
     if candidates.size > _SHORTLIST_CAP:
-        head = candidates[:_SHORTLIST_CAP]
-        argmax = int(np.argmax(vals))
-        candidates = head if argmax in head else np.append(head, argmax)
+        # Too many to re-score one by one (many near-zero columns widen the
+        # float32 ties): score every candidate in float64 by matrix products,
+        # within about (I + m) * 2^-53 * sum|M| of the re-score, and keep
+        # those within _SHORTLIST_RTOL * sum|M| of the best, as criss-cross
+        # does.  Past the cap still, exact near-ties: the first candidates
+        # and the float64 argmax are re-scored.
+        step = max(1, _BLOCK_ELEMENTS // max(npoints, m))
+        exact = np.concatenate([
+            np.abs(M @ _signs(candidates[c : c + step], m).T).sum(axis=0)
+            for c in range(0, candidates.size, step)
+        ])
+        argmax = candidates[np.argmax(exact)]
+        candidates = candidates[exact >= exact.max() - _SHORTLIST_RTOL * A.sum()]
+        if candidates.size > _SHORTLIST_CAP:
+            head = candidates[:_SHORTLIST_CAP]
+            candidates = head if argmax in head else np.append(head, argmax)
     X = _signs(candidates, m)
     rescored = [float(np.abs(M @ x).sum()) for x in X]
     return X[int(np.argmax(rescored))]  # first maximum: lexicographic tie-break

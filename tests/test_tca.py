@@ -281,6 +281,20 @@ def test_exhaustive_tall_residuals():
         np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, brute_step_u(R))
 
 
+def test_exhaustive_screen_overflow_light_columns():
+    # Three heavy columns and 17 light ones, all along one row vector at
+    # 1e-7 of the heavy entries: the float32 screen ties all 2^17 settings
+    # of the light signs, more classes than the cap.  They must be told
+    # apart in float64, not cut to the first in code order, because the
+    # maximizer sets every light sign alike and so may come last.
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        M = np.empty((50, 20))
+        M[:, :3] = rng.standard_normal((50, 3))
+        M[:, 3:] = 1e-7 * np.outer(rng.standard_normal(50), rng.uniform(0.5, 1.5, 17))
+        np.testing.assert_array_equal(tsvd_step_exhaustive(M).u, brute_step_u(M))
+
+
 def test_iterative_diag():
     step = tsvd_step_iterative(np.array([[0.25, -0.25], [-0.25, 0.25]]), restarts=2, seed=0)
     assert step.delta == pytest.approx(1.0, abs=1e-12)
