@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contingency import CorrespondenceModel, _profile_deviations
+from .contingency import CorrespondenceModel, _profile_deviations, _row_blocks
 from .decomposition import (
     CA,
     FactorDecomposition,
@@ -50,7 +50,7 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
     Makes no factorization of its own: the principal values and the
     shorter side's singular vectors come from the model's cached R-SVD (the
     one :func:`numerical_rank` reads), and only the ``k`` long-side score
-    columns are formed, by one product with ``D``.
+    columns are formed, by one product with ``D``, which is formed once.
     """
     rank = numerical_rank(model)
     k = resolve_k(k, rank)
@@ -98,9 +98,16 @@ def ca_total_inertia(model: CorrespondenceModel) -> float:
 
     Equals the r-weighted average of squared row distances, the c-weighted
     average of squared column distances, and ``sum(deltas**2)`` of the full
-    decomposition.
+    decomposition.  Summed over row blocks, so no table-sized array is made.
     """
-    return float(np.sum(model.D**2 / np.outer(model.r, model.c)))
+    total = 0.0
+    for b in _row_blocks(*model.shape):
+        rc = np.outer(model.r[b], model.c)
+        terms = model.P[b] - rc
+        terms **= 2
+        terms /= rc
+        total += float(terms.sum())
+    return total
 
 
 def _embedded_sq_distances(

@@ -92,7 +92,7 @@ def run(config: AnalysisConfig) -> int:
     except (InvalidTableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    del table  # the counts, as large as D, need not outlive the model
+    del table  # the counts, as large as P, need not outlive the model
 
     try:
         rank = numerical_rank(model)

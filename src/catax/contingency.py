@@ -1,23 +1,24 @@
 """Contingency-table ingestion and the shared correspondence model.
 
 A two-way contingency table ``N`` with grand total ``n`` is turned into the
-correspondence matrix ``P = N / n``, its marginals ``r`` (rows) and ``c``
-(columns), the centered residual ``D = P - r c^T`` and the association index
-``delta = P / (r c^T) - 1``.  Every quantity downstream (both factorization
+correspondence matrix ``P = N / n`` and its marginals ``r`` (rows) and ``c``
+(columns).  The centered residual ``D = P - r c^T``, the standardized residual
+``S = D / sqrt(r c^T)`` and the association index ``delta = P / (r c^T) - 1``
+are derived from them on demand, in row blocks, so a model holds one array
+the size of the table.  Every quantity downstream (both factorization
 engines, the distortion diagnostics) is a function of this model.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import logging
 import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, NoReturn, Sequence
+from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -40,6 +41,19 @@ COLS = "cols"
 
 _DELIMITERS = (",", ";", "\t")
 
+# Residuals derived from ``P`` are formed this many float64 elements (1 MB)
+# of rows at a time, so no temporary the size of the table is made.
+_BLOCK_ELEMENTS = 1 << 17
+
+# Lines of the long orientation of ``S`` per step of the blocked QR in
+# `CorrespondenceModel._short_svd`; a table whose long side fits in one block
+# makes a single QR, as an unblocked R-SVD would.
+_QR_BLOCK_LINES = 2048
+
+# csv ends a record at \r\n, \n or \r, and keeps every other character,
+# \x0c and \u2028 among them, as data.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\n|\r)|[^\r\n]+\Z")
+
 
 class InvalidTableError(ValueError):
     """Raised when input data cannot form a valid contingency table."""
@@ -55,6 +69,25 @@ def _check_axis(axis: str) -> str:
     if axis not in (ROWS, COLS):
         raise ValueError(f"axis must be {ROWS!r} or {COLS!r}, got {axis!r}")
     return axis
+
+
+def _row_blocks(I: int, J: int) -> Iterator[slice]:
+    """Slices of consecutive rows of an ``(I, J)`` array, ``_BLOCK_ELEMENTS`` per block."""
+    rows = max(1, _BLOCK_ELEMENTS // J)
+    return (slice(b, b + rows) for b in range(0, I, rows))
+
+
+def _standardize(P: np.ndarray, r: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+    """Write ``(P - outer(r, c)) / sqrt(outer(r, c))`` into ``out``.
+
+    With ``rc = np.outer(r, c)`` these are, cell for cell, the operations of
+    ``(P - rc) / np.sqrt(rc)``, so a block of ``S`` formed from a block of
+    ``P`` and the matching slices of the marginals equals that block of the
+    whole-table expression bit for bit.
+    """
+    rc = np.outer(r, c)
+    np.subtract(P, rc, out=out)
+    out /= np.sqrt(rc, out=rc)
 
 
 @dataclass(frozen=True)
@@ -108,7 +141,13 @@ class ContingencyTable:
 
 @dataclass(frozen=True)
 class CorrespondenceModel:
-    """Correspondence matrix with marginals, residual and association index.
+    """Correspondence matrix with its marginals.
+
+    ``P`` is the model's one array the size of the table.  The residual
+    ``D``, the association index and the standardized residual are derived
+    from ``P``, ``r`` and ``c`` when asked for, in row blocks, and never
+    stored, so deriving one makes one table-sized array and no larger
+    temporary.
 
     Attributes
     ----------
@@ -116,8 +155,6 @@ class CorrespondenceModel:
         Probability table ``counts / n``; sums to 1.
     r, c : ndarray
         Row and column marginals of ``P``, all strictly positive.
-    D : (I, J) ndarray
-        Residual ``P - outer(r, c)``; every row and column sums to 0.
     """
 
     row_labels: tuple[str, ...]
@@ -125,10 +162,9 @@ class CorrespondenceModel:
     P: np.ndarray
     r: np.ndarray
     c: np.ndarray
-    D: np.ndarray
 
     def __post_init__(self) -> None:
-        for field in ("P", "r", "c", "D"):
+        for field in ("P", "r", "c"):
             object.__setattr__(self, field, _freeze(getattr(self, field)))
 
     @property
@@ -143,14 +179,31 @@ class CorrespondenceModel:
         return self.r if _check_axis(axis) == ROWS else self.c
 
     @property
+    def D(self) -> np.ndarray:
+        """Residual ``P - outer(r, c)``, a fresh ``(I, J)`` array.
+
+        Every row and column sums to 0.  Formed on each access in row blocks,
+        cell for cell as that expression, so it equals it bit for bit
+        without a table-sized ``outer(r, c)``.  Callers own the result and
+        may overwrite it.
+        """
+        D = np.empty(self.shape)
+        for b in _row_blocks(*self.shape):
+            np.subtract(self.P[b], np.outer(self.r[b], self.c), out=D[b])
+        return D
+
+    @property
     def delta_index(self) -> np.ndarray:
         """Association index ``P / outer(r, c) - 1``, an ``(I, J)`` array.
 
-        Satisfies ``delta_index * outer(r, c) == D`` cellwise.  No library
-        code reads it, so it is computed on each access rather than stored
-        as a second matrix the size of ``P``.
+        Satisfies ``delta_index * outer(r, c) == D`` cellwise.  Formed on
+        each access in row blocks, like `D`.
         """
-        return self.P / np.outer(self.r, self.c) - 1.0
+        delta = np.empty(self.shape)
+        for b in _row_blocks(*self.shape):
+            np.divide(self.P[b], np.outer(self.r[b], self.c), out=delta[b])
+        delta -= 1.0
+        return delta
 
     @property
     def singular_values(self) -> np.ndarray:
@@ -176,21 +229,54 @@ class CorrespondenceModel:
         ``S`` when ``I >= J``, its left vectors otherwise.  Returned as
         ``(s, B)``, columns of ``B`` in the order of ``s``.
 
+        ``R`` comes from a sequential tall-skinny QR (TSQR; Demmel, Grigori,
+        Hoemmen & Langou, SIAM J. Sci. Comput. 34(1), 2012), so ``S`` is
+        never formed whole.  ``L`` is taken in blocks of
+        ``max(_QR_BLOCK_LINES, m)`` lines, each formed from ``P`` by the
+        operations of :func:`standardized_residual` in one reused
+        Fortran-order buffer, under the previous ``R``; then
+        ``R <- qr([R; L_b])``.  Only the last block can have fewer than ``m``
+        lines, and it sits under an ``R``, so every ``R`` is ``m x m``.  A
+        table whose long side fits in one block makes a single QR of ``L``.
+
         Computed once per model and kept.  Only ``m x m`` is kept, never ``Q``
-        or the long-side vectors, which are the size of ``D``.  QR then SVD
-        is backward stable, so a singular value near the ``1e-12`` rank
-        floor is still resolved; the SVD of a Gram matrix ``L^T L`` would
-        square the condition number and lose it.
+        or the long-side vectors, which are the size of ``P``.  QR then SVD
+        is backward stable, and so is the blocked QR, so a singular value
+        near the ``1e-12`` rank floor is still resolved; the SVD of a Gram
+        matrix ``L^T L`` would square the condition number and lose it.
         """
-        S = standardized_residual(self)
-        R = np.linalg.qr(S.T if S.shape[0] < S.shape[1] else S, mode="r")
+        I, J = self.shape
+        wide = I < J
+        n, m = (J, I) if wide else (I, J)
+        block = max(_QR_BLOCK_LINES, m)
+        W = np.empty((n if n <= block else m + block, m), order="F")
+        R = np.empty((0, m))
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            top = R.shape[0]
+            W[:top] = R
+            L = W[top : top + stop - start]
+            if wide:
+                _standardize(self.P[:, start:stop], self.r, self.c[start:stop], L.T)
+            else:
+                _standardize(self.P[start:stop], self.r[start:stop], self.c, L)
+            R = np.linalg.qr(W[: top + stop - start], mode="r")
         _, s, Bt = np.linalg.svd(R)
         return _freeze(s), _freeze(Bt.T)
 
 
 def standardized_residual(model: CorrespondenceModel) -> np.ndarray:
-    """``S = D / sqrt(outer(r, c))``, whose plain SVD yields the CA solution."""
-    return model.D / np.sqrt(np.outer(model.r, model.c))
+    """``S = D / sqrt(outer(r, c))``, whose plain SVD yields the CA solution.
+
+    Formed from ``P`` in row blocks, cell for cell as that expression, so it
+    equals it bit for bit and the result is the only table-sized array made.
+    The model's own factorization (`CorrespondenceModel._short_svd`) forms
+    ``S`` one block at a time and never calls this.
+    """
+    S = np.empty(model.shape)
+    for b in _row_blocks(*model.shape):
+        _standardize(model.P[b], model.r[b], model.c, S[b])
+    return S
 
 
 def _profile_deviations(
@@ -314,7 +400,10 @@ def load_table(
     if delimiter is None:
         delimiter = _detect_delimiter(text)
 
-    rows = (row for row in csv.reader(io.StringIO(text), delimiter=delimiter) if row)
+    # one line at a time: io.StringIO would hold a 4-byte-per-character copy
+    # of the whole text
+    lines = (match.group() for match in _LINE.finditer(text))
+    rows = (row for row in csv.reader(lines, delimiter=delimiter) if row)
     header = next(rows, None)
     first = next(rows, None)
     if first is None:
@@ -372,7 +461,7 @@ def load_table(
 
 
 def build_model(table: ContingencyTable) -> CorrespondenceModel:
-    """Compute ``P``, its marginals and the residual ``D``.
+    """Compute ``P`` and its marginals; the residual ``D`` is derived on access.
 
     Raises
     ------
@@ -385,8 +474,7 @@ def build_model(table: ContingencyTable) -> CorrespondenceModel:
     c = P.sum(axis=0)
     if np.any(r == 0) or np.any(c == 0):
         raise InvalidTableError("zero marginal; drop empty rows/columns first")
-    D = P - np.outer(r, c)
-    return CorrespondenceModel(table.row_labels, table.col_labels, P, r, c, D)
+    return CorrespondenceModel(table.row_labels, table.col_labels, P, r, c)
 
 
 def sparsity(table: ContingencyTable) -> float:

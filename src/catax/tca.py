@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import CorrespondenceModel, _freeze, _profile_deviations
+from .contingency import CorrespondenceModel, _freeze, _profile_deviations, _row_blocks
 from .decomposition import (
     TCA,
     FactorDecomposition,
@@ -85,11 +85,6 @@ _LOW_BITS = 12
 # Size of the first pass's scoring block, and the bound on its low-half
 # table, in float32 elements (8 MB).
 _BLOCK_ELEMENTS = 1 << 21
-
-# Deflation updates the residual in place, and the iterative step sums |R|,
-# this many float64 elements (1 MB) of rows at a time, so no temporary the
-# size of the residual is made.
-_DEFLATE_BLOCK_ELEMENTS = 1 << 17
 
 
 def _sign(x: np.ndarray) -> np.ndarray:
@@ -319,8 +314,8 @@ def tsvd_step_iterative(
         raise ValueError("restarts must be >= 1")
     R = np.asarray(residual, dtype=float)
     I, J = R.shape
-    rows = max(1, _DEFLATE_BLOCK_ELEMENTS // J)
-    total = sum(float(np.abs(R[b : b + rows]).sum()) for b in range(0, I, rows))
+    # summed in row blocks, so no temporary the size of the residual is made
+    total = sum(float(np.abs(R[b]).sum()) for b in _row_blocks(I, J))
     starts = _start_signs(R, min(10, I, J)) if total > 0 else np.empty((0, J))
     rng = np.random.default_rng(seed)
     U = np.vstack((starts, rng.integers(0, 2, size=(restarts, J)) * 2.0 - 1.0)).T
@@ -384,10 +379,9 @@ def tca_decompose(
     rank = numerical_rank(model)
     k = resolve_k(k, rank)
 
-    R = model.D.copy()
+    R = model.D  # a fresh array: the working residual, deflated in place
     I, J = R.shape
     enumerable = min(I, J) <= EXHAUSTIVE_LIMIT
-    rows = max(1, _DEFLATE_BLOCK_ELEMENTS // J)
     seed_seq = np.random.SeedSequence(seed)
     # Column-major, so each axis is written contiguously and the C-ordered
     # arrays the decomposition keeps are allocated after the loop, when
@@ -415,8 +409,8 @@ def tca_decompose(
         col_scores[:, alpha] = vR / model.c
         pairs.append((np.asarray(step.u), np.asarray(step.v)))
         if alpha + 1 < k:  # the residual after the last axis is never read
-            for b in range(0, I, rows):
-                R[b : b + rows] -= np.outer(Ru[b : b + rows], vR) / step.delta
+            for b in _row_blocks(I, J):  # no temporary the size of R
+                R[b] -= np.outer(Ru[b], vR) / step.delta
 
     n = len(pairs)  # axes extracted: k, or fewer when the residual ran out
     row_scores, col_scores = row_scores[:, :n], col_scores[:, :n]
@@ -455,8 +449,10 @@ def tca_total_dispersion(model: CorrespondenceModel) -> float:
     Equals the r-weighted average of row taxicab distances and the c-weighted
     average of column taxicab distances; it is the threshold the cumulative
     principal values are compared against for intrinsic-dimension bounds.
+    ``D`` is formed once and its absolute value taken in place.
     """
-    return float(np.abs(model.D).sum())
+    D = model.D
+    return float(np.abs(D, out=D).sum())
 
 
 def _embedded_l1_distances(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catax.contingency
 from catax import (
     COLS,
     ROWS,
@@ -137,7 +138,7 @@ def assert_equal_up_to_sign(ours, ref, tol):
     assert min(np.abs(ours - ref).max(), np.abs(ours + ref).max()) <= tol * scale
 
 
-@pytest.mark.parametrize(
+FACTORIZATION_CASES = pytest.mark.parametrize(
     "counts",
     [
         poisson_counts((80, 30), seed=3),
@@ -147,7 +148,22 @@ def assert_equal_up_to_sign(ours, ref, tol):
     ],
     ids=["tall", "wide", "square", "near_independent"],
 )
+
+
+@FACTORIZATION_CASES
 def test_factorization_matches_full_svd(counts):
+    check_factorization(counts)
+
+
+@FACTORIZATION_CASES
+def test_blocked_factorization_matches_full_svd(counts, monkeypatch):
+    # blocks of max(16, m) lines: three QR steps on tall, wide and
+    # near_independent, one on square, whose m = 40 exceeds the block
+    monkeypatch.setattr(catax.contingency, "_QR_BLOCK_LINES", 16)
+    check_factorization(counts)
+
+
+def check_factorization(counts):
     model = build_model(table_from_counts(counts))
     U, ref, Vt = np.linalg.svd(standardized_residual(model), full_matrices=False)
     s, B = model._short_svd
@@ -170,6 +186,29 @@ def test_factorization_matches_full_svd(counts):
             assert_equal_up_to_sign(dec.col_scores[:, i], col_ref[:, i], 1e-14 / gap)
             compared += 1
     assert compared == dec.k
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (40, 90), (90, 40)])
+def test_blocked_qr_when_short_side_exceeds_block(shape, monkeypatch, linalg_calls):
+    # m = 40 exceeds the 16-line block, so each block takes m lines and every
+    # intermediate R stays m x m; on (40, 40) that one block is the whole table
+    monkeypatch.setattr(catax.contingency, "_QR_BLOCK_LINES", 16)
+    model = build_model(table_from_counts(poisson_counts(shape, seed=11)))
+    ref = np.linalg.svd(standardized_residual(model), compute_uv=False)
+    linalg_calls.clear()
+    s = model.singular_values
+    assert np.abs(s - ref).max() <= 1e-14 * ref[0]
+    blocks = [(40, 40)] if shape == (40, 40) else [(40, 40), (80, 40), (50, 40)]
+    assert linalg_calls == [("qr", b) for b in blocks] + [("svd", (40, 40))]
+
+
+def test_blocked_qr_keeps_corpus_ranks(counts100, monkeypatch):
+    # at 3 lines a block is max(3, m) = m lines, so every table whose sides
+    # differ takes several QR steps
+    whole = [numerical_rank(build_model(table_from_counts(c))) for c in counts100]
+    monkeypatch.setattr(catax.contingency, "_QR_BLOCK_LINES", 3)
+    blocked = [numerical_rank(build_model(table_from_counts(c))) for c in counts100]
+    assert blocked == whole
 
 
 @pytest.mark.parametrize("shape", [(30, 80), (80, 30)])

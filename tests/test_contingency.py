@@ -1,9 +1,11 @@
+import dataclasses
 import io
 import logging
 
 import numpy as np
 import pytest
 
+import catax.tca
 from catax import (
     COLS,
     ROWS,
@@ -13,8 +15,10 @@ from catax import (
     load_table,
     profile,
     sparsity,
+    standardized_residual,
+    tca_decompose,
 )
-from conftest import random_models
+from conftest import random_models, table_from_counts
 
 DIAG = ContingencyTable(("r1", "r2"), ("x", "y"), np.array([[2.0, 0.0], [0.0, 2.0]]))
 
@@ -69,6 +73,30 @@ def test_row_count_independent_of_line_breaks(text):
     table = load_table(io.StringIO(text))
     np.testing.assert_array_equal(table.counts, [[2, 0], [0, 2]])
     assert table.row_labels[1] == "r2"
+
+
+@pytest.mark.parametrize(
+    "text, row_labels, col_labels",
+    [
+        ('A,x,y\r\n"r\n1",2,0\r\nr2,0,2\r\n', ("r\n1", "r2"), ("x", "y")),
+        (
+            "A,x\x0c1,y\u20282\nr\x0c1,2,0\nr\u20282,0,2\n",
+            ("r\x0c1", "r\u20282"),
+            ("x\x0c1", "y\u20282"),
+        ),
+        ("A,x,y\rr1,2,0\rr2,0,2\r", ("r1", "r2"), ("x", "y")),
+        ('A,x,y\r"r\r1",2,0\rr2,0,2', ("r\r1", "r2"), ("x", "y")),
+        ("A,x,y\nr1,2,0\nr2,0,2", ("r1", "r2"), ("x", "y")),
+    ],
+    ids=["quoted-newline", "formfeed-and-line-separator", "cr-only", "quoted-cr", "no-final-break"],
+)
+def test_lines_end_where_csv_ends_them(text, row_labels, col_labels):
+    # records end at \r\n, \n or \r outside quotes; \x0c and \u2028, which
+    # str.splitlines would split on, are data
+    table = load_table(io.StringIO(text))
+    assert table.row_labels == row_labels
+    assert table.col_labels == col_labels
+    np.testing.assert_array_equal(table.counts, [[2, 0], [0, 2]])
 
 
 def test_cells_parse_as_float_does():
@@ -323,3 +351,49 @@ def test_profile_errors():
         profile(model, ROWS, 2)
     with pytest.raises(ValueError):
         profile(model, "diagonal", 0)
+
+
+def wide_model():
+    """A table with more cells than one row block, so the blocked paths run."""
+    counts = np.random.default_rng(7).poisson(0.5, size=(40, 5000)).astype(float)
+    counts[:, 0] += 1  # no empty row
+    counts[0] += 1  # no empty column
+    return build_model(table_from_counts(counts))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_model_holds_one_table_sized_array():
+    model = wide_model()
+    fields = [f.name for f in dataclasses.fields(model)]
+    assert [name for name in fields if np.shape(getattr(model, name)) == model.shape] == ["P"]
+
+
+def test_derived_residuals_equal_whole_table_expressions():
+    # formed in row blocks, each cell by the same operations as the one-shot
+    # expression, so equal bit for bit
+    for model in random_models(100) + [wide_model()]:
+        rc = np.outer(model.r, model.c)
+        D = model.P - rc
+        np.testing.assert_array_equal(bits(model.D), bits(D))
+        np.testing.assert_array_equal(bits(standardized_residual(model)), bits(D / np.sqrt(rc)))
+        np.testing.assert_array_equal(bits(model.delta_index), bits(model.P / rc - 1.0))
+
+
+def test_tca_starts_from_the_derived_residual(monkeypatch):
+    first = []
+    for name in ("tsvd_step_exhaustive", "tsvd_step_iterative"):
+        real = getattr(catax.tca, name)
+
+        def spy(residual, *args, _real=real, **kwargs):
+            if not first:
+                first.append(np.array(residual))
+            return _real(residual, *args, **kwargs)
+
+        monkeypatch.setattr(catax.tca, name, spy)
+    for model in random_models(100) + [wide_model()]:
+        first.clear()
+        tca_decompose(model, k=1)
+        np.testing.assert_array_equal(bits(first[0]), bits(model.D))

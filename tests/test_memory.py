@@ -1,0 +1,75 @@
+"""Heap-peak guard: no stage holds more than ``P`` plus one table-sized array.
+
+``tracemalloc`` sees the arrays numpy allocates, but not the buffer
+``numpy.linalg`` copies its input into for LAPACK, so the bound covers numpy
+arrays only.  The table is wide enough that a QR block (2048 lines of the
+200-line short side) is well under one table size.
+
+Criss-cross ascent advances all its starts together, so the iterative TCA
+step also holds a few start-by-column arrays, ``(restarts + 10) x J`` each:
+not table-sized, but on a 200-row table each is 0.15 of one.  The TCA bound
+allows five of them on top.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from catax import (
+    COLS,
+    ROWS,
+    build_model,
+    ca_decompose,
+    numerical_rank,
+    tca_decompose,
+    tca_total_dispersion,
+)
+from catax.distortion import distortion_report
+from conftest import table_from_counts
+
+# Above the one table-sized array a stage may make, room for its block-sized
+# temporaries (a QR block here is 0.2 table sizes).
+BOUND = 1.5
+RESTARTS = 20
+
+
+def heap_peak(call):
+    """Peak traced heap above what was held when ``call`` started, and its result."""
+    gc.collect()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = call()
+    return tracemalloc.get_traced_memory()[1] - before, result
+
+
+def test_stage_heap_peaks():
+    counts = np.random.default_rng(12).poisson(0.3, size=(200, 12000)).astype(float)
+    counts[:, 0] += 1  # no empty row
+    counts[0] += 1  # no empty column
+    table = table_from_counts(counts)
+    size = counts.nbytes
+    batch = (RESTARTS + 10) * counts.shape[1] * counts.itemsize
+    tracemalloc.start()
+    try:
+        peaks = {}
+        peaks["build_model"], model = heap_peak(lambda: build_model(table))
+        del table, counts
+        peaks["numerical_rank"], _ = heap_peak(lambda: numerical_rank(model))
+        peaks["ca_decompose"], ca = heap_peak(lambda: ca_decompose(model, k=2))
+        peaks["tca_decompose"], tca = heap_peak(
+            lambda: tca_decompose(model, k=2, strategy="iterative", restarts=RESTARTS)
+        )
+        peaks["tca_total_dispersion"], _ = heap_peak(lambda: tca_total_dispersion(model))
+        for dec in (ca, tca):
+            for axis in (ROWS, COLS):
+                name = f"distortion_report[{dec.method}-{axis}]"
+                peaks[name], _ = heap_peak(lambda: distortion_report(model, dec, axis, [1, 2]))
+    finally:
+        tracemalloc.stop()
+    bounds = {name: BOUND * size for name in peaks}
+    bounds["tca_decompose"] += 5 * batch
+    over = {name: (peak / size, bounds[name] / size) for name, peak in peaks.items()
+            if peak > bounds[name]}
+    assert not over, f"(heap peak, bound) in table sizes: {over}"
