@@ -422,12 +422,14 @@ def load_table(
             f"header has {len(header)} fields but data rows have {width}"
         )
 
-    # Every csv row but the last ends in a line break, so there are at most
-    # as many data rows as line breaks.  Rows are converted as they are read:
+    # Every csv row but the last ends in a line break (\r\n, \n or \r, a
+    # \r\n counted once), so there are at most as many data rows as line
+    # breaks.  Rows are converted as they are read:
     # holding every row's list of strings at once left ~40 MB of dead heap
     # under the next large allocation on a 590 x 8265 table.
     row_labels: list[str] = []
-    counts = np.empty((text.count("\n") + text.count("\r"), width - 1))
+    breaks = text.count("\n") + text.count("\r") - text.count("\r\n")
+    counts = np.empty((breaks, width - 1))
     for i, row in enumerate(itertools.chain((first,), rows)):
         row_labels.append(row[0].strip())
         if len(row) != width:

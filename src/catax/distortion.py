@@ -268,7 +268,7 @@ def intrinsic_dimension_bounds(
         raise ValueError("deltas must not be empty")
     if total_dispersion <= 0:
         raise ValueError("total_dispersion must be positive")
-    tol = 1e-12 * max(1.0, total_dispersion)
+    tol = 1e-12 * total_dispersion
     reached = np.flatnonzero(cum >= total_dispersion - tol)
     capped = reached.size == 0
     upper = int(cum.size if capped else reached[0] + 1)

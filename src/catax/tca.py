@@ -10,20 +10,19 @@ successive axes conjugate (``sum_i f_alpha(i) sign(f_beta(i)) r_i = 0`` for
 
 The maximization is combinatorial.  Below the exhaustive threshold the global
 optimum is found by enumerating the 2^(m-1) sign classes of the smaller axis,
-m <= ``EXHAUSTIVE_LIMIT``, in two stages.  A float32 screen scores every class
-of the n x m matrix (n the larger side), scaled exactly by a power of two so
-that its largest entry lies in [0.5, 1), with O(n * 2^(m-1)) additions by a
-meet-in-the-middle split of each sign vector.  The classes within a window of
-the best, relative to ``sum|R|`` and proven wider than twice the screen's
-rounding (about (n + 2) * 2^-23), are then re-scored exactly in float64,
-ties going to the lexicographically smallest vector; past 2^16 survivors,
-all are first scored in float64 by matrix products and narrowed to a 1e-9
-window.  Larger problems use criss-cross ascent (``v <- sign(R u)``,
-``u <- sign(R^T v)``; Choulakian, Psychometrika 71(2), 2006) from
-deterministic and seeded random starts, all advanced together: each half-step
-is one matrix-matrix product over every start still moving.  The fixed points
-within a relative window of the best are re-scored one by one, with the same
-tie-break.
+m <= ``EXHAUSTIVE_LIMIT``.  A float32 screen scores every class of the n x m
+matrix (n the larger side), scaled exactly by a power of two so that its
+largest entry lies in [0.5, 1), with O(n * 2^(m-1)) additions by a
+meet-in-the-middle split of each sign vector, and keeps the classes within a
+window of the best, relative to ``sum|R|`` and proven wider than twice the
+screen's rounding (about (n + 2) * 2^-23).  Larger problems use criss-cross
+ascent (``v <- sign(R u)``, ``u <- sign(R^T v)``; Choulakian, Psychometrika
+71(2), 2006) from deterministic and seeded random starts, all advanced
+together: each half-step is one matrix-matrix product over every start still
+moving.  Both solvers then apply one finalist rule to their candidates
+(surviving classes or distinct fixed points, in lexicographic order): keep
+those whose float64 bulk score is within ``1e-9 * sum|R|`` of the best,
+re-score them one by one as ``||R u||_1`` and take the first maximum.
 """
 
 from __future__ import annotations
@@ -61,20 +60,17 @@ _STRATEGIES = ("auto", "exhaustive", "iterative")
 # Principal values below this are treated as an exhausted residual.
 _DELTA_FLOOR = 1e-12
 
-# Both solvers score candidates in bulk first (the enumeration by a float32
-# meet-in-the-middle screen, criss-cross by float64 matrix-matrix products)
-# and then re-score, one float64 matrix-vector product each, those within a
-# window relative to sum|M| of the best bulk score, so both report values
-# from the same expression.  The window must exceed twice the bulk pass's
-# rounding error, so the true maximizer is always re-scored; being relative,
-# it holds on near-independent tables without making every candidate a
-# finalist.  Float64 bulk scores use this fraction, above their error of
-# about (I + J) * eps * sum|M|: criss-cross always, the enumeration when its
-# screen keeps more than _SHORTLIST_CAP classes (see `_enumerate_max`).  The
-# float32 screen uses its own bound, about (n + 2) * 2^-23 for an n x m
-# matrix, far above this fraction, which stays a floor there only so tests
-# can raise it.  The same fraction of sum|R| bounds the rounding that
-# criss-cross may show as a decrease of its objective.
+# The finalist window, a fraction of sum|M|.  It is far wider than the gap
+# between a float64 bulk score and the one-by-one re-score of the same
+# candidate, about (I + J) * 2^-53 * sum|M|, so every re-scored maximizer is
+# a finalist; being relative, it holds on near-independent tables without
+# making every candidate a finalist.  The float32 screen of the enumeration
+# uses its own bound, about (n + 2) * 2^-23 for an n x m matrix, far above
+# this fraction, which stays a floor there only so tests can raise it.  The
+# same fraction of sum|R| bounds the rounding that criss-cross may show as a
+# decrease of its objective.  Past _SHORTLIST_CAP finalists only the first
+# _SHORTLIST_CAP and the bulk argmax are re-scored; criss-cross reaches that
+# many distinct fixed points only when restarts + 10 > 2^16.
 _SHORTLIST_RTOL = 1e-9
 _SHORTLIST_CAP = 1 << 16
 
@@ -126,6 +122,21 @@ def _signs(codes: np.ndarray, m: int) -> np.ndarray:
     return X
 
 
+def _finalists(bulk: np.ndarray, tol: float) -> np.ndarray:
+    """Ascending indices of the bulk scores within ``tol`` of the best: the
+    first ``_SHORTLIST_CAP`` of them, plus the bulk argmax past the cap."""
+    keep = np.flatnonzero(bulk >= bulk.max() - tol)
+    if keep.size > _SHORTLIST_CAP:
+        keep = np.union1d(keep[:_SHORTLIST_CAP], np.argmax(bulk))
+    return keep
+
+
+def _first_max(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The first row ``x`` of ``X`` maximizing ``||M x||_1``, each re-scored
+    by one float64 matrix-vector product."""
+    return X[int(np.argmax([float(np.abs(M @ x).sum()) for x in X]))]
+
+
 def _enumerate_max(M: np.ndarray) -> np.ndarray:
     """Global maximizer of ``||M x||_1`` over sign classes of x.
 
@@ -139,15 +150,14 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     ``I * m * 2^(m-1)`` multiply-adds.  ``Ms = M * 2^-e`` has its largest
     entry in [0.5, 1), an exact scaling, so the screen can neither overflow
     nor underflow to matter and decides alike at every power-of-two scale;
-    ``P`` and ``Q`` are formed in float64 and cast.  The second pass re-scores
-    the classes within the screen's rounding window of the best (see below)
-    one by one in float64 with ``np.abs(M @ x).sum()``; ties on the re-scored
-    value resolve to the lexicographically smallest vector.  When more than
-    ``_SHORTLIST_CAP`` classes pass the screen, all of them are first scored
-    in float64 by matrix products and only those within ``_SHORTLIST_RTOL``
-    of the best go on, so none is dropped on its float32 value alone.  This
-    is the mixed-precision pattern of Higham & Mary (Acta Numerica 31, 2022):
-    the cheap pass only selects, the exact pass decides.
+    ``P`` and ``Q`` are formed in float64 and cast.  The classes within the
+    screen's rounding window of the best (see below) then go through the
+    finalist rule: scored in float64 by matrix products, a block of codes at
+    a time, narrowed to ``_SHORTLIST_RTOL`` of the best and re-scored one by
+    one, so none is dropped on its float32 value alone and ties resolve to
+    the lexicographically smallest vector.  This is the mixed-precision
+    pattern of Higham & Mary (Acta Numerica 31, 2022): the cheap pass only
+    selects, the exact pass decides.
     """
     npoints, m = M.shape
     A = np.abs(M)
@@ -188,26 +198,13 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     rtol = 2 * k_u / (1 - k_u) + m * 2.0**-51 if k_u < 1 else np.inf
     window = max(_SHORTLIST_RTOL, rtol) * math.ldexp(A.sum(), -e)  # sum|Ms|
     candidates = np.flatnonzero(vals >= best - window)
-    if candidates.size > _SHORTLIST_CAP:
-        # Too many to re-score one by one (many near-zero columns widen the
-        # float32 ties): score every candidate in float64 by matrix products,
-        # within about (I + m) * 2^-53 * sum|M| of the re-score, and keep
-        # those within _SHORTLIST_RTOL * sum|M| of the best, as criss-cross
-        # does.  Past the cap still, exact near-ties: the first candidates
-        # and the float64 argmax are re-scored.
-        step = max(1, _BLOCK_ELEMENTS // max(npoints, m))
-        exact = np.concatenate([
-            np.abs(M @ _signs(candidates[c : c + step], m).T).sum(axis=0)
-            for c in range(0, candidates.size, step)
-        ])
-        argmax = candidates[np.argmax(exact)]
-        candidates = candidates[exact >= exact.max() - _SHORTLIST_RTOL * A.sum()]
-        if candidates.size > _SHORTLIST_CAP:
-            head = candidates[:_SHORTLIST_CAP]
-            candidates = head if argmax in head else np.append(head, argmax)
-    X = _signs(candidates, m)
-    rescored = [float(np.abs(M @ x).sum()) for x in X]
-    return X[int(np.argmax(rescored))]  # first maximum: lexicographic tie-break
+    step = max(1, _BLOCK_ELEMENTS // max(npoints, m))
+    exact = np.concatenate([
+        np.abs(M @ _signs(candidates[c : c + step], m).T).sum(axis=0)
+        for c in range(0, candidates.size, step)
+    ])
+    keep = _finalists(exact, _SHORTLIST_RTOL * A.sum())
+    return _first_max(M, _signs(candidates[keep], m))
 
 
 def tsvd_step_exhaustive(residual: np.ndarray) -> TsvdStepResult:
@@ -302,13 +299,10 @@ def tsvd_step_iterative(
     random sign vectors.  Each half-step cannot decrease ``||R u||_1``, so
     every start reaches a fixed point.  All starts ascend together in one
     J x n matrix, one matrix-matrix product per half-step (`_criss_cross`;
-    Dongarra et al., ACM TOMS 16(1), 1990).  The distinct fixed points whose
-    batched objective lies within ``_SHORTLIST_RTOL * sum|R|`` of the best
-    are then re-scored one by one as ``delta = ||R u||_1`` with
-    ``v = sign(R u)``; the window exceeds the rounding difference between
-    the two products, so the best re-scored value is always among them.  The
-    largest ``delta`` wins, ties broken by the lexicographically smallest
-    ``u``, so the order of the starts does not matter.  Never certified.
+    Dongarra et al., ACM TOMS 16(1), 1990).  The distinct fixed points, in
+    lexicographic order with their batched objectives as bulk scores, go
+    through the finalist rule, so the order of the starts does not matter.
+    ``delta = ||R u||_1`` and ``v = sign(R u)``.  Never certified.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -319,17 +313,20 @@ def tsvd_step_iterative(
     starts = _start_signs(R, min(10, I, J)) if total > 0 else np.empty((0, J))
     rng = np.random.default_rng(seed)
     U = np.vstack((starts, rng.integers(0, 2, size=(restarts, J)) * 2.0 - 1.0)).T
-    obj = _criss_cross(R, U, _SHORTLIST_RTOL * total)
-    shortlist = U[:, obj >= obj.max() - _SHORTLIST_RTOL * total].T
-    best = None
-    for u in {u.tobytes(): u for u in shortlist}.values():  # distinct fixed points
-        Ru = R @ u
-        delta = float(np.abs(Ru).sum())
-        key = (-delta, tuple(u))
-        if best is None or key < best[0]:
-            best = (key, u, _sign(Ru), delta)
-    _, u, v, delta = best
-    return TsvdStepResult(u=u, v=v, delta=delta, certified=False)
+    tol = _SHORTLIST_RTOL * total
+    obj = _criss_cross(R, U, tol)
+    near = np.flatnonzero(obj >= obj.max() - tol)
+    # Packed to bits (-1 -> 0, the first sign most significant), the fixed
+    # points sort lexicographically with -1 before +1.  np.unique(axis=0)
+    # makes one field per column, so unpacked rows took 40 ms per step at
+    # J = 8265 (numpy 2.4, 2-vCPU VM).
+    bits = np.packbits(U[:, near] > 0, axis=0).T
+    points = near[np.unique(bits, axis=0, return_index=True)[1]]  # distinct, sorted
+    u = _first_max(R, U[:, points[_finalists(obj[points], tol)]].T)
+    Ru = R @ u
+    return TsvdStepResult(
+        u=u, v=_sign(Ru), delta=float(np.abs(Ru).sum()), certified=False
+    )
 
 
 def tca_decompose(

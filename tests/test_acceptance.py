@@ -105,8 +105,9 @@ def test_criterion_3_contraction_theorems(suite100, counts100, capsys):
     and there ``delta_1 == T``.  Separability is decided by the independent
     ``oracles.sign_separable`` on the table's exact integer residual, never
     by the solver's sign vectors nor by ``model.D``, whose exact zeros can
-    carry rounding noise; each comparison uses the ``1e-12 * max(1, T)``
-    band of ``intrinsic_dimension_bounds``.
+    carry rounding noise; each comparison uses a ``1e-12 * max(1, T)``
+    band, never narrower than the ``1e-12 * T`` of
+    ``intrinsic_dimension_bounds``.
     """
     violations = []
     separable = []

@@ -75,6 +75,14 @@ def test_row_count_independent_of_line_breaks(text):
     assert table.row_labels[1] == "r2"
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+def test_counts_buffer_one_row_per_line(newline):
+    # a \r\n is one line break: the buffer the counts are cut from, kept
+    # alive by the table, has one row per line whatever the line ending
+    table = load_table(io.StringIO(newline.join(["A,x,y", "r1,2,0", "r2,0,2", ""])))
+    assert table.counts.base.shape == (3, 2)
+
+
 @pytest.mark.parametrize(
     "text, row_labels, col_labels",
     [

@@ -274,6 +274,22 @@ def test_bounds_capped_when_never_reached():
     assert bounds.lower == 2
 
 
+@pytest.mark.parametrize(
+    "deltas, total",
+    [((0.6, 0.4 - 1e-9), 1.0), ((0.6, 0.4 - 1e-13), 1.0), ((1.0,), 1.0)]
+    + [((0.1, 0.1), 0.5)]
+    + [(_deltas_from_cum(cum), total) for cum, total, _, _ in PUBLISHED_CASES],
+)
+def test_bounds_power_of_two_scale_invariant(deltas, total):
+    # the band is relative to T, so an exact rescaling of deltas and T moves
+    # no crossing: a 1e-9 shortfall stays capped at every scale
+    base = intrinsic_dimension_bounds(deltas, total)
+    for scale in (2.0**-20, 2.0**20):
+        bounds = intrinsic_dimension_bounds([d * scale for d in deltas], total * scale)
+        assert (bounds.lower, bounds.upper) == (base.lower, base.upper)
+        assert bounds.capped == base.capped
+
+
 def test_bounds_errors():
     with pytest.raises(ValueError):
         intrinsic_dimension_bounds([], 1.0)
@@ -294,7 +310,7 @@ def test_bounds_random_full_rank(models30):
         if dec.rank >= 2:
             # a rank-one sign pattern of the residual lets the first axis
             # absorb the entire dispersion; only then can the bounds collapse
-            if dec.deltas[0] >= T - 1e-12 * max(1.0, T):
+            if dec.deltas[0] >= T - 1e-12 * T:  # the function's band
                 assert bounds.upper == 1
             else:
                 assert bounds.upper >= 2

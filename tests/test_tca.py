@@ -494,6 +494,51 @@ def test_iterative_shortlist_keeps_best(monkeypatch):
         assert every.delta == step.delta
 
 
+def test_iterative_shortlist_cap(monkeypatch):
+    # Past the cap the finalists are the first distinct fixed point in
+    # lexicographic order plus the batched argmax.  Every product is exact on
+    # these residuals, so with every fixed point in the window and a cap of
+    # one the step must not change.
+    residuals = integer_residuals()
+    steps = [tsvd_step_iterative(R, restarts=20, seed=3) for R in residuals]
+    monkeypatch.setattr(catax.tca, "_SHORTLIST_CAP", 1)
+    monkeypatch.setattr(catax.tca, "_SHORTLIST_RTOL", 1.0)
+    for R, step in zip(residuals, steps):
+        capped = tsvd_step_iterative(R, restarts=20, seed=3)
+        np.testing.assert_array_equal(capped.u, step.u)
+        np.testing.assert_array_equal(capped.v, step.v)
+        assert capped.delta == step.delta
+
+
+def test_iterative_first_maximizer_over_fixed_points(monkeypatch):
+    # The step is the lexicographically first maximizer of ||R u||_1 over the
+    # distinct fixed points criss-cross reaches, so reversing the order of
+    # the starts changes nothing.  Every product is exact on these residuals.
+    batched, start_signs = catax.tca._criss_cross, catax.tca._start_signs
+    reached = []
+
+    def recording(R, U, tol):
+        obj = batched(R, U, tol)
+        reached.append(U.T.copy())
+        return obj
+
+    monkeypatch.setattr(catax.tca, "_criss_cross", recording)
+    for R in integer_residuals():
+        step = tsvd_step_iterative(R, restarts=20, seed=5)
+        scores = {tuple(u): float(np.abs(R @ u).sum()) for u in reached[-1]}
+        best = max(scores.values())
+        expected = min(u for u, score in scores.items() if score == best)
+        np.testing.assert_array_equal(step.u, expected)
+        np.testing.assert_array_equal(step.v, catax.tca._sign(R @ step.u))
+        assert step.delta == best
+        with monkeypatch.context() as patch:
+            patch.setattr(catax.tca, "_start_signs", lambda *a: start_signs(*a)[::-1])
+            reordered = tsvd_step_iterative(R, restarts=20, seed=5)
+        np.testing.assert_array_equal(reordered.u, step.u)
+        np.testing.assert_array_equal(reordered.v, step.v)
+        assert reordered.delta == step.delta
+
+
 def test_iterative_scale_invariant():
     # Power-of-two scaling is exact, and the decrease check and the shortlist
     # window are relative to sum|R|: same u and v, delta scaled exactly.
