@@ -1,6 +1,7 @@
 """Command-line front end: load a table, analyze, emit reports and maps.
 
-Exit codes: 0 success, 1 parse/validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 parse/validation failure or an unreadable input or
+unwritable map file, 2 numerical failure.
 A residual exhausted below the requested number of dimensions is a warning,
 not an error.
 """
@@ -143,6 +144,9 @@ def run(config: AnalysisConfig) -> int:
             if map_dec is None:
                 raise ValueError("no axes extracted; cannot draw a factor map")
             emit_map(map_dec, config.map_axes, config.map_path)
+    except OSError as exc:  # the map could not be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -183,6 +187,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Parser of the ``analyze`` flags.
+
+    An absent flag is absent from the namespace, so `AnalysisConfig` supplies
+    its default.
+    """
     parser = _Parser(
         prog="analyze",
         description=(
@@ -190,23 +199,24 @@ def build_parser() -> argparse.ArgumentParser:
             "of a contingency table, with per-point embedding-distortion reports "
             "and TCA intrinsic-dimension bounds."
         ),
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--input", dest="input_path", required=True, help="contingency table (CSV/TSV)")
-    parser.add_argument("--method", choices=_METHODS, default="both")
-    parser.add_argument("--dims", type=int, default=3, help="max embedding dimension (default 3)")
-    parser.add_argument("--axis", choices=_AXES, default="rows")
-    parser.add_argument("--tca-strategy", dest="tca_strategy", choices=_STRATEGIES, default="auto")
-    parser.add_argument("--restarts", type=int, default=20, help="random restarts of the iterative solver")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rel-tol", dest="rel_tol", type=float, default=DEFAULT_REL_TOL,
-                        help="relative isometry tolerance")
+    parser.add_argument("--method", choices=_METHODS)
+    parser.add_argument("--dims", type=int,
+                        help=f"max embedding dimension (default {AnalysisConfig.dims})")
+    parser.add_argument("--axis", choices=_AXES)
+    parser.add_argument("--tca-strategy", dest="tca_strategy", choices=_STRATEGIES)
+    parser.add_argument("--restarts", type=int, help="random restarts of the iterative solver")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--rel-tol", dest="rel_tol", type=float, help="relative isometry tolerance")
     parser.add_argument("--drop-empty", dest="drop_empty", action="store_true",
                         help="drop all-zero rows/columns instead of failing")
-    parser.add_argument("--format", dest="output_format", choices=_FORMATS, default="tsv")
-    parser.add_argument("--map", dest="map_path", default=None, help="write an SVG factor map here")
-    parser.add_argument("--map-axes", dest="map_axes", type=_axes_pair, default=(1, 2),
-                        help="axis pair for the map (default 1,2)")
-    parser.add_argument("--delimiter", default=None, help="field separator (default: auto-detect)")
+    parser.add_argument("--format", dest="output_format", choices=_FORMATS)
+    parser.add_argument("--map", dest="map_path", help="write an SVG factor map here")
+    parser.add_argument("--map-axes", dest="map_axes", type=_axes_pair,
+                        help="axis pair for the map (default %d,%d)" % AnalysisConfig.map_axes)
+    parser.add_argument("--delimiter", help="field separator (default: auto-detect)")
     return parser
 
 

@@ -71,6 +71,11 @@ def _check_axis(axis: str) -> str:
     return axis
 
 
+def _check_size(I: int, J: int) -> None:
+    if I < 2 or J < 2:
+        raise InvalidTableError(f"table must be at least 2x2, got {I}x{J}")
+
+
 def _row_blocks(I: int, J: int) -> Iterator[slice]:
     """Slices of consecutive rows of an ``(I, J)`` array, ``_BLOCK_ELEMENTS`` per block."""
     rows = max(1, _BLOCK_ELEMENTS // J)
@@ -112,8 +117,7 @@ class ContingencyTable:
         if counts.ndim != 2:
             raise InvalidTableError("counts must be a 2-d matrix")
         I, J = counts.shape
-        if I < 2 or J < 2:
-            raise InvalidTableError(f"table must be at least 2x2, got {I}x{J}")
+        _check_size(I, J)
         if len(self.row_labels) != I or len(self.col_labels) != J:
             raise InvalidTableError("label lengths do not match counts shape")
         for name, labels in (("row", self.row_labels), ("column", self.col_labels)):
@@ -309,41 +313,24 @@ def _detect_delimiter(sample: str) -> str:
     return best
 
 
-def _check_count(value: float, row_label: str, col_label: str) -> None:
-    if not np.isfinite(value):
-        raise InvalidTableError(f"cell ({row_label!r}, {col_label!r}): not finite")
-    if value < 0:
-        raise InvalidTableError(f"cell ({row_label!r}, {col_label!r}): negative count {value}")
-
-
-def _reject_row(row: Sequence[str], label: str, col_labels: Sequence[str]) -> NoReturn:
-    """Raise the labelled error of the first bad cell in a data row known to hold one."""
+def _reject_row(
+    row: Sequence[str], width: int, label: str, col_labels: Sequence[str]
+) -> NoReturn:
+    """Raise the error of a bad data row: its field count, else its first bad cell."""
+    if len(row) != width:
+        raise InvalidTableError(f"row {row[0]!r}: expected {width} fields, got {len(row)}")
     for cell, col in zip(row[1:], col_labels):
+        where = f"cell ({label!r}, {col!r})"
         try:
             value = float(cell)
         except ValueError:
-            raise InvalidTableError(
-                f"cell ({label!r}, {col!r}): not a number: {cell!r}"
-            ) from None
-        _check_count(value, label, col)
+            raise InvalidTableError(f"{where}: not a number: {cell!r}") from None
+        if not np.isfinite(value):
+            raise InvalidTableError(f"{where}: not finite")
+        if value < 0:
+            raise InvalidTableError(f"{where}: negative count {value}")
     # numpy's parse and float() agree, so a row that failed one fails the other
     raise InvalidTableError(f"row {label!r}: a cell could not be parsed")
-
-
-def _reject_counts(
-    counts: np.ndarray, row_labels: Sequence[str], col_labels: Sequence[str]
-) -> None:
-    """Raise for the first non-finite or negative cell of ``counts``, in row order.
-
-    The check runs on the whole array at once; only a failing row is scanned
-    again cell by cell, to name its first bad cell.
-    """
-    ok = np.isfinite(counts)
-    ok &= counts >= 0
-    if not ok.all():
-        i = int(np.flatnonzero(~ok.all(axis=1))[0])
-        for value, col in zip(counts[i].tolist(), col_labels):
-            _check_count(value, row_labels[i], col)
 
 
 def load_table(
@@ -361,11 +348,12 @@ def load_table(
 
     Cells are read as ``float()`` reads them (surrounding whitespace,
     ``1_000``, ``+5``, ``1e3`` and non-ASCII digits are accepted).  Each data
-    row is converted, as it is read, into its row of one preallocated array,
-    and the whole array is then checked for non-finite and negative cells at
-    once; a row that fails either step is scanned again cell by cell, only
-    to name its first bad cell.  Errors follow row order, so a ragged row is
-    reported before a bad cell in a later row and after one in an earlier row.
+    row is converted, as it is read, into its row of one preallocated array
+    and checked there: a row with the wrong number of fields, or with a cell
+    that is not a number, not finite or negative, is rejected before the next
+    row is read, naming its field count or else its first bad cell.  Errors
+    therefore follow row order.  The size (at least 2x2) is checked next,
+    then all-zero rows and columns.
 
     Parameters
     ----------
@@ -380,9 +368,9 @@ def load_table(
     ------
     InvalidTableError
         Delimiter that is not one character or that does not split the
-        first data row, input that is not UTF-8 text, malformed cell,
-        duplicate label, zero marginal with ``drop_empty`` unset, or a table
-        smaller than 2x2 after any dropping.
+        first data row, input that is not UTF-8 text, malformed row or cell,
+        a table smaller than 2x2 (before or after any dropping), zero
+        marginal with ``drop_empty`` unset, or duplicate label.
     """
     if delimiter is not None and len(delimiter) != 1:
         raise InvalidTableError(f"delimiter must be one character, got {delimiter!r}")
@@ -432,18 +420,15 @@ def load_table(
     counts = np.empty((breaks, width - 1))
     for i, row in enumerate(itertools.chain((first,), rows)):
         row_labels.append(row[0].strip())
-        if len(row) != width:
-            _reject_counts(counts[:i], row_labels, col_labels)
-            raise InvalidTableError(
-                f"row {row[0]!r}: expected {width} fields, got {len(row)}"
-            )
         try:
             counts[i] = row[1:]  # numpy parses each str exactly as float() does
         except ValueError:
-            _reject_counts(counts[:i], row_labels, col_labels)
-            _reject_row(row, row_labels[i], col_labels)
+            _reject_row(row, width, row_labels[i], col_labels)
+        # false on NaN as well; a short row may have broadcast into counts[i]
+        if len(row) != width or not 0 <= counts[i].min() <= counts[i].max() < np.inf:
+            _reject_row(row, width, row_labels[i], col_labels)
     counts = counts[: len(row_labels)]
-    _reject_counts(counts, row_labels, col_labels)
+    _check_size(*counts.shape)
 
     keep = (counts.sum(axis=1) > 0, counts.sum(axis=0) > 0)
     labels = [row_labels, col_labels]

@@ -4,7 +4,8 @@ TSV mirrors the diagnostic-table layout — one row per point (label, raw
 distance, embedded distance per dimension, classification per dimension),
 then footer rows for the weighted averages, the cumulative principal values
 (squared for CA), the distortion constants and, for TCA, the
-intrinsic-dimension bounds — with values at 4 decimals.  JSON carries the
+intrinsic-dimension bounds — with values at 4 decimals and a label's
+backslash, tab and line breaks escaped.  JSON carries the
 same content at full precision with a stable key order, so a parsed document
 reproduces every number exactly.
 """
@@ -19,6 +20,10 @@ from .distortion import DistortionReport, IntrinsicDimensionBounds
 __all__ = ["emit_report", "report_to_dict"]
 
 _FORMATS = ("tsv", "json")
+
+# A label's backslash, tab and line breaks are written as two-character
+# escapes, so each point stays one TSV line of fields.
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\r": "\\r", "\n": "\\n"})
 
 
 def report_to_dict(
@@ -95,7 +100,7 @@ def emit_report(
     header += [f"class{d}" for d in dims]
     lines.append("\t".join(header))
     for i, label in enumerate(report.labels):
-        cells = [label, f"{report.raw[i]:.4f}"]
+        cells = [label.translate(_TSV_ESCAPES), f"{report.raw[i]:.4f}"]
         cells += [f"{x:.4f}" for x in report.embedded[i]]
         cells += report.classification[i].tolist()
         lines.append("\t".join(cells))

@@ -9,6 +9,7 @@ import pytest
 
 import catax.cli
 from catax import AnalysisConfig, main
+from catax.cli import build_parser
 from test_tca import check_tca_invariants
 
 COUNTS = [[4, 1, 0], [2, 3, 1], [0, 2, 4], [1, 1, 2]]
@@ -207,6 +208,20 @@ def test_map_written_and_prefers_tca(tmp_path, capsys):
     capsys.readouterr()
     svg = map_path.read_text()
     assert "TCA factor map" in svg
+
+
+def test_unwritable_map_exits_1(tmp_path):
+    map_path = tmp_path / "absent" / "m.svg"
+    proc = run_module("--input", write_csv(tmp_path, COUNTS), "--map", str(map_path))
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not map_path.parent.exists()
+
+
+def test_absent_flags_take_config_defaults():
+    namespace = build_parser().parse_args(["--input", "x.csv"])
+    assert AnalysisConfig(**vars(namespace)) == AnalysisConfig("x.csv")
 
 
 @pytest.mark.parametrize(

@@ -149,6 +149,45 @@ def test_errors_in_row_order(text, message):
     assert str(excinfo.value) == message
 
 
+_BAD_ROWS = {
+    "short": "{},1",
+    "long": "{},1,2,3",
+    "not-a-number": "{},1,zap",
+    "empty-cell": "{},1,",
+    "nan": "{},1,nan",
+    "inf": "{},inf,1",
+    "negative": "{},1,-2",
+}
+
+
+@pytest.mark.parametrize("second", _BAD_ROWS)
+@pytest.mark.parametrize("first", _BAD_ROWS)
+def test_first_bad_row_reported(first, second):
+    # row r2 is reported, with the message it gets when it is the only bad row
+    def message(*rows):
+        with pytest.raises(InvalidTableError) as excinfo:
+            load_table(io.StringIO("\n".join(["A,x,y", "r1,1,2", *rows, "r4,2,1"])))
+        return str(excinfo.value)
+
+    alone = message(_BAD_ROWS[first].format("r2"), "r3,1,1")
+    assert "'r2'" in alone
+    assert message(_BAD_ROWS[first].format("r2"), _BAD_ROWS[second].format("r3")) == alone
+
+
+@pytest.mark.parametrize("drop_empty", [False, True])
+@pytest.mark.parametrize(
+    "text, size",
+    [("A,x,y\nr1,2,0", "1x2"), ("A,x\nr1,2\nr2,0", "2x1")],
+    ids=["one-row", "one-column"],
+)
+def test_size_checked_before_all_zero_lines(caplog, text, size, drop_empty):
+    with caplog.at_level(logging.WARNING, logger="catax.contingency"):
+        with pytest.raises(InvalidTableError) as excinfo:
+            load_table(io.StringIO(text), drop_empty=drop_empty)
+    assert str(excinfo.value) == f"table must be at least 2x2, got {size}"
+    assert not caplog.records
+
+
 @pytest.mark.parametrize(
     "text",
     [

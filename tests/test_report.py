@@ -1,6 +1,8 @@
 """Report emission: golden TSV blocks, exact JSON round-trips, format parity."""
 
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from catax import (
     distortion_report,
     emit_report,
     intrinsic_dimension_bounds,
+    load_table,
     report_to_dict,
     tca_decompose,
     tca_total_dispersion,
@@ -163,3 +166,22 @@ def test_tsv_capped_bounds_flag():
     report = distortion_report(DIAG, dec, "rows", dims=(1,))
     out = emit_report(report, bounds, format="tsv")
     assert out.rstrip("\n").splitlines()[-1].endswith("\tcapped")
+
+
+@pytest.mark.parametrize("axis", ["rows", "cols"])
+def test_tsv_labels_escaped(axis):
+    # quoted CSV labels may hold a tab, a line break or a backslash
+    text = 'A,"x\ty","y\\n"\n"r\t1",2,1\n"r\n2",1,3\n"a\rb\\",2,2\nplain,1,1\n'
+    table = load_table(io.StringIO(text))
+    assert table.row_labels == ("r\t1", "r\n2", "a\rb\\", "plain")
+    model = build_model(table)
+    report = distortion_report(model, ca_decompose(model), axis, dims=(1,))
+    lines = emit_report(report, format="tsv").split("\n")
+    header = lines[1].split("\t")
+    points = [line.split("\t") for line in lines[2 : 2 + len(report.labels)]]
+    assert all(len(cells) == len(header) for cells in points)
+    escapes = {"\\": "\\", "t": "\t", "r": "\r", "n": "\n"}
+    unescaped = [re.sub(r"\\(.)", lambda m: escapes[m[1]], cells[0]) for cells in points]
+    assert tuple(unescaped) == report.labels
+    escaped = {"rows": ["r\\t1", "r\\n2", "a\\rb\\\\", "plain"], "cols": ["x\\ty", "y\\\\n"]}
+    assert [cells[0] for cells in points] == escaped[axis]
