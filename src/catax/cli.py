@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -84,6 +85,12 @@ class AnalysisConfig:
 
 def run(config: AnalysisConfig) -> int:
     """Execute one analysis; report to stdout, diagnostics to stderr."""
+    if config.map_path is not None:
+        # fail before the analysis, not after it, when the map cannot be written there
+        folder = os.path.dirname(config.map_path) or os.curdir
+        if not os.path.isdir(folder):
+            print(f"error: map directory {folder!r} does not exist", file=sys.stderr)
+            return 1
     try:
         table = load_table(
             config.input_path, drop_empty=config.drop_empty, delimiter=config.delimiter

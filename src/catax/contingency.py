@@ -313,6 +313,28 @@ def _detect_delimiter(sample: str) -> str:
     return best
 
 
+class _Decline(Exception):
+    """A data line that `_read_plain` leaves to the csv row loop."""
+
+
+def _records(text: str, delimiter: str) -> tuple[Iterator[str], Iterator[list[str]]]:
+    """The lines of ``text``, split where csv ends a record, and its nonblank records.
+
+    The records are read from the lines, so once a record is taken the lines
+    go on after it.  One line at a time: io.StringIO would hold a
+    4-byte-per-character copy of the whole text.
+    """
+    lines = (match.group() for match in _LINE.finditer(text))
+    return lines, (row for row in csv.reader(lines, delimiter=delimiter) if row)
+
+
+def _column_labels(header: Sequence[str], width: int) -> list[str] | None:
+    """The header's column labels for data rows of ``width`` fields, or None if it does not fit."""
+    if len(header) not in (width, width - 1):  # with or without a corner cell
+        return None
+    return [label.strip() for label in header[len(header) - width + 1 :]]
+
+
 def _reject_row(
     row: Sequence[str], width: int, label: str, col_labels: Sequence[str]
 ) -> NoReturn:
@@ -333,65 +355,13 @@ def _reject_row(
     raise InvalidTableError(f"row {label!r}: a cell could not be parsed")
 
 
-def load_table(
-    source: str | os.PathLike | IO[str],
-    drop_empty: bool = False,
-    delimiter: str | None = None,
-) -> ContingencyTable:
-    """Parse delimiter-separated text into a :class:`ContingencyTable`.
+def _read_rows(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndarray]:
+    """Row labels, column labels and counts of ``text``, read by csv one row at a time.
 
-    The first row holds column labels (an optional leading corner cell is
-    ignored); the first field of every other row is the row label.  The
-    delimiter is auto-detected among comma, semicolon and tab unless given.
-    A leading byte-order mark (U+FEFF, as spreadsheet exports write) is
-    ignored.
-
-    Cells are read as ``float()`` reads them (surrounding whitespace,
-    ``1_000``, ``+5``, ``1e3`` and non-ASCII digits are accepted).  Each data
-    row is converted, as it is read, into its row of one preallocated array
-    and checked there: a row with the wrong number of fields, or with a cell
-    that is not a number, not finite or negative, is rejected before the next
-    row is read, naming its field count or else its first bad cell.  Errors
-    therefore follow row order.  The size (at least 2x2) is checked next,
-    then all-zero rows and columns.
-
-    Parameters
-    ----------
-    source : path or text stream
-    drop_empty : bool
-        When true, all-zero rows/columns are removed (and reported through
-        the module logger) instead of being an error.
-    delimiter : str, optional
-        Explicit one-character field separator, bypassing detection.
-
-    Raises
-    ------
-    InvalidTableError
-        Delimiter that is not one character or that does not split the
-        first data row, input that is not UTF-8 text, malformed row or cell,
-        a table smaller than 2x2 (before or after any dropping), zero
-        marginal with ``drop_empty`` unset, or duplicate label.
+    Each data row is converted as it is read and checked there, so the first
+    bad row raises, and errors follow row order.
     """
-    if delimiter is not None and len(delimiter) != 1:
-        raise InvalidTableError(f"delimiter must be one character, got {delimiter!r}")
-    try:
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, "r", encoding="utf-8") as handle:
-                text = handle.read()
-    except UnicodeDecodeError as exc:
-        raise InvalidTableError(f"input is not {exc.encoding} text ({exc.reason})") from None
-    text = text.removeprefix("\ufeff")
-    if not text.strip():
-        raise InvalidTableError("empty input")
-    if delimiter is None:
-        delimiter = _detect_delimiter(text)
-
-    # one line at a time: io.StringIO would hold a 4-byte-per-character copy
-    # of the whole text
-    lines = (match.group() for match in _LINE.finditer(text))
-    rows = (row for row in csv.reader(lines, delimiter=delimiter) if row)
+    lines, rows = _records(text, delimiter)
     header = next(rows, None)
     first = next(rows, None)
     if first is None:
@@ -401,11 +371,8 @@ def load_table(
             f"delimiter {delimiter!r} does not split data row {first[0]!r} into fields"
         )
     width = len(first)
-    if len(header) == width:
-        col_labels = [label.strip() for label in header[1:]]  # corner cell present
-    elif len(header) == width - 1:
-        col_labels = [label.strip() for label in header]
-    else:
+    col_labels = _column_labels(header, width)
+    if col_labels is None:
         raise InvalidTableError(
             f"header has {len(header)} fields but data rows have {width}"
         )
@@ -427,7 +394,140 @@ def load_table(
         # false on NaN as well; a short row may have broadcast into counts[i]
         if len(row) != width or not 0 <= counts[i].min() <= counts[i].max() < np.inf:
             _reject_row(row, width, row_labels[i], col_labels)
-    counts = counts[: len(row_labels)]
+    return row_labels, col_labels, counts[: len(row_labels)]
+
+
+def _read_plain(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndarray] | None:
+    """What `_read_rows` returns, for an unquoted table of plain decimal cells.
+
+    The header is read by csv, as `_read_rows` reads it.  Each later line
+    that is not blank is a data row.  Its label is the text before the first
+    delimiter, stripped, and the rest of all data rows is parsed by one
+    `numpy.loadtxt` call, in C.  None, which leaves the text to `_read_rows`,
+    is returned when
+
+    - the delimiter is not one of ``_DELIMITERS``;
+    - a data line holds a quote, a NUL or one of ``\\x1c``-``\\x1f``, or is
+      longer than csv's field size limit;
+    - a data line has no cell after its label, or not as many delimiters as
+      the first;
+    - the header does not fit the data rows;
+    - loadtxt cannot parse a cell (it rejects ``1_000`` and non-ASCII
+      digits, which ``float()`` reads);
+    - loadtxt's result has not one row per data line;
+    - a count is not finite, or negative.
+
+    loadtxt reads every other cell as ``float()`` does, so a result equals
+    the one of `_read_rows` bit for bit.
+    """
+    if delimiter not in _DELIMITERS:
+        return None
+    lines, records = _records(text, delimiter)
+    header = next(records, None)
+    first = next((line for line in lines if line[0] not in "\r\n"), None)
+    if first is None:  # also when there is no header
+        return None
+    fields = first.count(delimiter)
+    col_labels = _column_labels(header, fields + 1)
+    if col_labels is None:
+        return None
+    limit = csv.field_size_limit()
+    row_labels: list[str] = []
+
+    def cells() -> Iterator[str]:
+        for line in itertools.chain((first,), lines):
+            if line[0] in "\r\n":
+                continue  # a blank line, which csv skips
+            label, _, rest = line.partition(delimiter)
+            # csv unquotes a '"' and, before Python 3.11, rejects a NUL;
+            # loadtxt strips \x1c-\x1f around a number, float() does not
+            if (
+                rest[:1] in "\r\n"  # also true on "": no delimiter, or no cell after it
+                or line.count(delimiter) != fields
+                or len(line) > limit
+                or any(char in line for char in '"\0\x1c\x1d\x1e\x1f')
+            ):
+                raise _Decline
+            row_labels.append(label.strip())
+            yield rest
+
+    try:
+        counts = np.loadtxt(cells(), delimiter=delimiter, comments=None, dtype=float, ndmin=2)
+    except (_Decline, ValueError):
+        return None
+    # loadtxt skips a blank line; the comparisons are false on NaN as well
+    if counts.shape != (len(row_labels), fields) or not (
+        0 <= counts.min() <= counts.max() < np.inf
+    ):
+        return None
+    return row_labels, col_labels, counts
+
+
+def load_table(
+    source: str | os.PathLike | IO[str],
+    drop_empty: bool = False,
+    delimiter: str | None = None,
+) -> ContingencyTable:
+    """Parse delimiter-separated text into a :class:`ContingencyTable`.
+
+    The first row holds column labels (an optional leading corner cell is
+    ignored); the first field of every other row is the row label.  The
+    delimiter is auto-detected among comma, semicolon and tab unless given.
+    A leading byte-order mark (U+FEFF, as spreadsheet exports write) is
+    ignored.
+
+    Cells are read as ``float()`` reads them (surrounding whitespace,
+    ``1_000``, ``+5``, ``1e3`` and non-ASCII digits are accepted).  A table
+    without quotes whose cells are all plain decimal numbers, finite and
+    nonnegative, is read in one pass in C (`_read_plain`).  Any other text,
+    every malformed one among it, is read from its start by the csv row
+    loop (`_read_rows`): each data row is converted, as it is read, into its
+    row of one preallocated array and checked there, so a row with the wrong
+    number of fields, or with a cell that is not a number, not finite or
+    negative, is rejected before the next row is read, naming its field
+    count or else its first bad cell.  Errors therefore follow row order.
+    Both ways give the same labels and counts.  The size (at least 2x2) is
+    checked next, then all-zero rows and columns.
+
+    Parameters
+    ----------
+    source : path or text stream
+    drop_empty : bool
+        When true, all-zero rows/columns are removed (and reported through
+        the module logger) instead of being an error.
+    delimiter : str, optional
+        Explicit one-character field separator, bypassing detection.
+
+    Raises
+    ------
+    InvalidTableError
+        Delimiter that is not one character or that does not split the
+        first data row, input that is not UTF-8 text, text csv cannot read
+        (a field over ``csv.field_size_limit()``), malformed row or cell, a
+        table smaller than 2x2 (before or after any dropping), zero marginal
+        with ``drop_empty`` unset, or duplicate label.
+    """
+    if delimiter is not None and len(delimiter) != 1:
+        raise InvalidTableError(f"delimiter must be one character, got {delimiter!r}")
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidTableError(f"input is not {exc.encoding} text ({exc.reason})") from None
+    text = text.removeprefix("\ufeff")
+    if not text or text.isspace():
+        raise InvalidTableError("empty input")
+    if delimiter is None:
+        delimiter = _detect_delimiter(text)
+    try:
+        row_labels, col_labels, counts = _read_plain(text, delimiter) or _read_rows(
+            text, delimiter
+        )
+    except csv.Error as exc:
+        raise InvalidTableError(str(exc)) from None
     _check_size(*counts.shape)
 
     keep = (counts.sum(axis=1) > 0, counts.sum(axis=0) > 0)

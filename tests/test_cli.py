@@ -219,6 +219,39 @@ def test_unwritable_map_exits_1(tmp_path):
     assert not map_path.parent.exists()
 
 
+def test_missing_map_directory_exits_before_loading(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(catax.cli, "load_table", lambda *args, **kwargs: calls.append(args))
+    map_path = tmp_path / "absent" / "m.svg"
+    assert main(["--input", write_csv(tmp_path, COUNTS), "--map", str(map_path)]) == 1
+    assert calls == []
+    assert f"error: map directory {str(map_path.parent)!r} does not exist" in capsys.readouterr().err
+
+
+def test_map_path_that_is_a_directory_exits_1(tmp_path, capsys):
+    # the directory exists, so only writing the map fails
+    assert main(["--input", write_csv(tmp_path, COUNTS), "--map", str(tmp_path)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["header", "label", "cell"])
+def test_field_over_csv_limit_exits_1(tmp_path, where):
+    long = "1" * 200_000
+    rows = ["A,x,y", "r1,1,2", "r2,3,4"]
+    if where == "header":
+        rows[0] = f"A,x{long},y"
+    elif where == "label":
+        rows[1] = f"r{long},1,2"
+    else:
+        rows[2] = f"r2,{long},4"
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(rows) + "\n")
+    proc = run_module("--input", str(path))
+    assert proc.returncode == 1
+    assert "error: field larger than field limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_absent_flags_take_config_defaults():
     namespace = build_parser().parse_args(["--input", "x.csv"])
     assert AnalysisConfig(**vars(namespace)) == AnalysisConfig("x.csv")

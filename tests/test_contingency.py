@@ -1,10 +1,12 @@
 import dataclasses
 import io
 import logging
+import random
 
 import numpy as np
 import pytest
 
+import catax.contingency
 import catax.tca
 from catax import (
     COLS,
@@ -75,12 +77,138 @@ def test_row_count_independent_of_line_breaks(text):
     assert table.row_labels[1] == "r2"
 
 
+def _decline(text, delimiter):
+    """A `_read_plain` that leaves every text to the csv row loop."""
+    return None
+
+
+@pytest.fixture
+def row_loop_only(monkeypatch):
+    monkeypatch.setattr(catax.contingency, "_read_plain", _decline)
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
-def test_counts_buffer_one_row_per_line(newline):
-    # a \r\n is one line break: the buffer the counts are cut from, kept
-    # alive by the table, has one row per line whatever the line ending
+def test_counts_buffer_one_row_per_line(row_loop_only, newline):
+    # a \r\n is one line break: the buffer the row loop cuts the counts
+    # from, kept alive by the table, has one row per line whatever the line
+    # ending
     table = load_table(io.StringIO(newline.join(["A,x,y", "r1,2,0", "r2,0,2", ""])))
     assert table.counts.base.shape == (3, 2)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+def test_plain_table_counts_own_their_memory(newline):
+    table = load_table(io.StringIO(newline.join(["A,x,y", "r1,2,0", "r2,0,2", ""])))
+    assert table.counts.flags.owndata
+    assert table.counts.shape == (2, 2)
+
+
+def _outcome(text, **kwargs):
+    try:
+        table = load_table(io.StringIO(text), **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return table.row_labels, table.col_labels, table.counts.shape, table.counts.tobytes()
+
+
+def _both_paths(monkeypatch, text, **kwargs):
+    """load_table's outcome with its fast path and with the row loop only.
+
+    Also returns whether the row loop ran in the first call.
+    """
+    read_rows = catax.contingency._read_rows
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            catax.contingency,
+            "_read_rows",
+            lambda *args: calls.append(args) or read_rows(*args),
+        )
+        fast = _outcome(text, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(catax.contingency, "_read_plain", _decline)
+        loop = _outcome(text, **kwargs)
+    return fast, loop, bool(calls)
+
+
+# the cells of test_cells_parse_as_float_does, then a plain table and texts
+# that exercise one decline rule each; the second field says whether the row
+# loop must run
+_PATH_CASES = {
+    **{
+        f"cell-{cell!r}": (f"A,x,y\nr1,{cell},1\nr2,1,1\n", cell in ("1_000", "\u0663"))
+        for cell in [" 3 ", "1_000", "+5", "-0", "1e3", "0.1", "\u0663", "2", "7"]
+    },
+    "plain-integers": ("A,x,y\nr1,1,2\nr2,3,4\n", False),
+    "quoted-label": ('A,x,y\n"r 1",1,2\nr2,3,4\n', True),
+    "quoted-header": ('"A","x","y"\nr1,1,2\nr2,3,4\n', False),
+    "nul-in-label": ("A,x,y\nr\x001,1,2\nr2,3,4\n", True),
+    "byte-order-mark": ("\ufeffA,x,y\nr1,1,2\nr2,3,4", False),
+    "cr-only": ("A,x,y\rr1,1,2\r\rr2,3,4\r", False),
+    "whitespace-line": ("A,x,y\nr1,1,2\n  \nr2,3,4\n", True),
+    "whitespace-line-one-column": ("A,x\nr1,1\nr2, \nr3,2\n", True),
+    "empty-cell-one-column": ("A,x\nr1,1\nr2,\nr3,2\n", True),
+    "separator-around-cell": ("A,x,y\nr1,\x1c1,2\nr2,3,4\n", True),
+    "header-too-wide": ("A,x,y,z\nr1,1,2\nr2,3,4\n", True),
+    "pipe-delimiter": ("A|x|y\nr1|1|2\nr2|3|4\n", True),
+    "nan": ("A,x,y\nr1,1,nan\nr2,3,4\n", True),
+    "overflow": ("A,x,y\nr1,1,1e400\nr2,3,4\n", True),
+    "negative": ("A,x,y\nr1,1,2\nr2,3,-4\n", True),
+    "long-line": ("A,x,y\nr1,1," + "0" * 200_000 + "2\nr2,3,4\n", True),
+}
+
+
+@pytest.mark.parametrize("text, loop_runs", _PATH_CASES.values(), ids=_PATH_CASES)
+def test_both_paths_agree(monkeypatch, text, loop_runs):
+    delimiter = "|" if "|" in text else None
+    fast, loop, ran = _both_paths(monkeypatch, text, delimiter=delimiter)
+    assert fast == loop
+    assert ran == loop_runs
+
+
+_ODD_CELLS = [
+    " 3 ", "\t4", "1_000", "\u0663", "+5", "-0", "0.1", "1e3", "007", "1e-320",
+    "-1", "nan", "inf", "1e400", "x", "", " ", "0x10", "5\x1c", '"6"', "\x002",
+]
+
+
+def _random_table_text(rng):
+    """A small table of mostly plain integer counts with occasional defects."""
+    delimiter = rng.choice([",", ";", "\t"])
+    I, J = rng.randint(1, 4), rng.randint(1, 4)
+    header = [f"c{j}" for j in range(J)]
+    if rng.random() < 0.5:
+        header.insert(0, "A")
+    if rng.random() < 0.05:
+        header.append("extra")
+    if rng.random() < 0.1:
+        header = [f'"{label}"' for label in header]
+    lines = [delimiter.join(header)]
+    for i in range(I):
+        label = rng.choice([f"r{i}"] * 8 + [f" r{i} ", f'"r {i}"', f"r\x00{i}", "r0"])
+        cells = [
+            rng.choice(_ODD_CELLS) if rng.random() < 0.05 else str(rng.randint(0, 3))
+            for _ in range(J)
+        ]
+        if rng.random() < 0.05:
+            cells = cells[:-1] if rng.random() < 0.5 else cells + ["1"]
+        lines.append(delimiter.join([label, *cells]))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "", "  "]))
+    newline = rng.choice(["\n", "\r\n", "\r"])
+    return newline.join(lines) + rng.choice(["", newline])
+
+
+def test_fast_path_matches_row_loop_on_random_tables(monkeypatch):
+    rng = random.Random(14)
+    taken = 0
+    for _ in range(3000):
+        text = _random_table_text(rng)
+        drop_empty = rng.random() < 0.3
+        fast, loop, ran = _both_paths(monkeypatch, text, drop_empty=drop_empty)
+        assert fast == loop, text
+        taken += not ran
+    assert taken > 1000
 
 
 @pytest.mark.parametrize(
