@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contingency import CorrespondenceModel, _profile_deviations, _row_blocks
+from .contingency import CorrespondenceModel, _check_index, _profile_deviations, _row_blocks
 from .decomposition import (
     CA,
     FactorDecomposition,
@@ -90,7 +90,7 @@ def benzecri_distance(model: CorrespondenceModel, axis: str, index: int) -> floa
     The squared distance is returned, matching the dist^2 convention of the
     diagnostic tables.
     """
-    return float(_benzecri_distances(model, axis, [index])[0])
+    return float(_benzecri_distances(model, axis, [_check_index(axis, index, model.shape)])[0])
 
 
 def ca_total_inertia(model: CorrespondenceModel) -> float:
@@ -128,4 +128,5 @@ def embedded_sq_distance(dec: FactorDecomposition, axis: str, index: int, d: int
     Non-decreasing in ``d``; never exceeds the squared chi-square distance,
     with equality at ``d == rank``.
     """
+    index = _check_index(axis, index, (len(dec.row_labels), len(dec.col_labels)))
     return float(_embedded_sq_distances(dec, axis, d, [index])[0])

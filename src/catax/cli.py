@@ -28,7 +28,6 @@ from .contingency import (
 from .decomposition import numerical_rank
 from .distortion import (
     DEFAULT_REL_TOL,
-    IntrinsicDimensionBounds,
     distortion_report,
     intrinsic_dimension_bounds,
 )
@@ -75,6 +74,8 @@ class AnalysisConfig:
             raise ValueError("dims must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.rel_tol <= 0:
             raise ValueError("rel-tol must be > 0")
         axes = tuple(int(a) for a in self.map_axes)
@@ -97,34 +98,25 @@ def run(config: AnalysisConfig) -> int:
         )
         spar = sparsity(table)
         model = build_model(table)
-    except (InvalidTableError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    del table  # the counts, as large as P, need not outlive the model
-
-    try:
+        del table  # the counts, as large as P, need not outlive the model
         rank = numerical_rank(model)
+        n_dims = min(config.dims, rank)
         if rank == 0:
             print(
                 "warning: residual rank is 0 (independence table); nothing to decompose",
                 file=sys.stderr,
             )
-            _emit(config, spar, [])
-            return 0
-        n_dims = min(config.dims, rank)
-        if n_dims < config.dims:
+        elif n_dims < config.dims:
             print(
                 f"warning: requested dims {config.dims} exceeds rank {rank}; using {n_dims}",
                 file=sys.stderr,
             )
-        dims = list(range(1, n_dims + 1))
         axes = [ROWS, COLS] if config.axis == "both" else [config.axis]
         methods = ["ca", "tca"] if config.method == "both" else [config.method]
 
         blocks: list[tuple] = []
         map_dec = None
         for method in methods:
-            bounds: IntrinsicDimensionBounds | None = None
             if method == "ca":
                 dec = ca_decompose(model, k=n_dims)
             else:
@@ -135,23 +127,22 @@ def run(config: AnalysisConfig) -> int:
                     restarts=config.restarts,
                     seed=config.seed,
                 )
-                if dec.k:
-                    bounds = intrinsic_dimension_bounds(
-                        dec.deltas, tca_total_dispersion(model)
-                    )
-            if dec.k == 0:  # residual exhausted immediately; warning already issued
+            if dec.k == 0:  # rank 0, or the residual ran out at once (TCA warned)
                 continue
+            bounds = None
+            if method == "tca":
+                bounds = intrinsic_dimension_bounds(dec.deltas, tca_total_dispersion(model))
             if map_dec is None or method == "tca":
                 map_dec = dec
-            report_dims = [d for d in dims if d <= dec.k]
             for axis in axes:
-                report = distortion_report(model, dec, axis, report_dims, config.rel_tol)
+                report = distortion_report(model, dec, axis, range(1, dec.k + 1), config.rel_tol)
                 blocks.append((report, bounds))
         if config.map_path is not None:
             if map_dec is None:
                 raise ValueError("no axes extracted; cannot draw a factor map")
             emit_map(map_dec, config.map_axes, config.map_path)
-    except OSError as exc:  # the map could not be written
+    # bad input or an unwritable map; before ValueError, which InvalidTableError is
+    except (InvalidTableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -71,6 +71,14 @@ def _check_axis(axis: str) -> str:
     return axis
 
 
+def _check_index(axis: str, index: int, shape: tuple[int, int]) -> int:
+    """``index`` if it numbers a point of ``axis`` in a table of ``shape``, else IndexError."""
+    I, J = shape
+    if not 0 <= index < (I if _check_axis(axis) == ROWS else J):
+        raise IndexError(f"{axis} index {index} out of range for {I}x{J} table")
+    return index
+
+
 def _check_size(I: int, J: int) -> None:
     if I < 2 or J < 2:
         raise InvalidTableError(f"table must be at least 2x2, got {I}x{J}")
@@ -127,7 +135,7 @@ class ContingencyTable:
             raise InvalidTableError("counts must be finite")
         if np.any(counts < 0):
             raise InvalidTableError("counts must be nonnegative")
-        if counts.sum() <= 0:
+        if not counts.any():  # a sum could overflow
             raise InvalidTableError("grand total must be positive")
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
@@ -530,7 +538,7 @@ def load_table(
         raise InvalidTableError(str(exc)) from None
     _check_size(*counts.shape)
 
-    keep = (counts.sum(axis=1) > 0, counts.sum(axis=0) > 0)
+    keep = (counts.any(axis=1), counts.any(axis=0))  # a sum could overflow
     labels = [row_labels, col_labels]
     for axis, name in enumerate(("row", "column")):
         if keep[axis].all():
@@ -550,17 +558,30 @@ def load_table(
 def build_model(table: ContingencyTable) -> CorrespondenceModel:
     """Compute ``P`` and its marginals; the residual ``D`` is derived on access.
 
+    The counts are first scaled by the exact power of two that brings their
+    maximum into ``[0.5, 1)``, so the grand total cannot overflow.  For a
+    table whose scaled cells are all normal numbers the scaling is exact and
+    ``P`` equals ``counts / counts.sum()`` bit for bit.
+
     Raises
     ------
     InvalidTableError
-        If any marginal is zero (unreachable for tables from
-        :func:`load_table` without ``drop_empty`` abuse).
+        If a line of the table is all zero (unreachable for tables from
+        :func:`load_table`), or if a product ``r_i c_j`` of marginals
+        underflows to zero, which happens when the cells span more than
+        float64's range.
     """
-    P = table.counts / table.counts.sum()
+    counts = table.counts
+    P = np.ldexp(counts, -np.frexp(counts.max())[1])
+    P /= P.sum()
     r = P.sum(axis=1)
     c = P.sum(axis=0)
-    if np.any(r == 0) or np.any(c == 0):
-        raise InvalidTableError("zero marginal; drop empty rows/columns first")
+    if r.min() * c.min() == 0:
+        if not (counts.any(axis=1).all() and counts.any(axis=0).all()):
+            raise InvalidTableError("zero marginal; drop empty rows/columns first")
+        raise InvalidTableError(
+            "cells span more than float64's range: a product of marginals underflows to 0"
+        )
     return CorrespondenceModel(table.row_labels, table.col_labels, P, r, c)
 
 
@@ -575,11 +596,7 @@ def profile(model: CorrespondenceModel, axis: str, index: int) -> np.ndarray:
     The result is a probability vector; the weighted average of all profiles
     on an axis is the opposite marginal (the barycenter).
     """
-    _check_axis(axis)
-    I, J = model.shape
-    size = I if axis == ROWS else J
-    if not 0 <= index < size:
-        raise IndexError(f"{axis} index {index} out of range for {I}x{J} table")
+    _check_index(axis, index, model.shape)
     if axis == ROWS:
         return model.P[index] / model.r[index]
     return model.P[:, index] / model.c[index]

@@ -33,7 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import CorrespondenceModel, _freeze, _profile_deviations, _row_blocks
+from .contingency import (
+    CorrespondenceModel,
+    _check_index,
+    _freeze,
+    _profile_deviations,
+    _row_blocks,
+)
 from .decomposition import (
     TCA,
     FactorDecomposition,
@@ -437,7 +443,7 @@ def taxicab_distance(model: CorrespondenceModel, axis: str, index: int) -> float
 
     Rows: ``sum_j |p_ij/p_i+ - p_+j|``; columns symmetrically.
     """
-    return float(_taxicab_distances(model, axis, [index])[0])
+    return float(_taxicab_distances(model, axis, [_check_index(axis, index, model.shape)])[0])
 
 
 def tca_total_dispersion(model: CorrespondenceModel) -> float:
@@ -470,4 +476,5 @@ def embedded_l1_distance(dec: FactorDecomposition, axis: str, index: int, d: int
     Non-decreasing in ``d``; at ``d = 1`` it never exceeds the taxicab
     distance, while the full-rank sum never falls below it.
     """
+    index = _check_index(axis, index, (len(dec.row_labels), len(dec.col_labels)))
     return float(_embedded_l1_distances(dec, axis, d, [index])[0])

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -135,12 +136,68 @@ def test_dims_clamped_to_rank(tmp_path, capsys):
     assert "cum2" not in captured.out
 
 
+RANK_ZERO = [[1, 2], [2, 4]]
+RANK_ZERO_WARNING = "warning: residual rank is 0 (independence table); nothing to decompose\n"
+
+
 def test_rank_zero_table_warns_and_emits_header_only(tmp_path, capsys):
-    path = write_csv(tmp_path, [[1, 2], [2, 4]])
+    path = write_csv(tmp_path, RANK_ZERO)
     assert main(["--input", path]) == 0
+    assert capsys.readouterr() == ("# sparsity=0.0000000\n", RANK_ZERO_WARNING)
+    assert main(["--input", path, "--format", "json"]) == 0
+    out = '{\n  "sparsity": 0.0,\n  "reports": []\n}\n'
+    assert capsys.readouterr() == (out, RANK_ZERO_WARNING)
+
+
+def test_rank_zero_table_with_map_exits_2(tmp_path, capsys):
+    map_path = tmp_path / "m.svg"
+    assert main(["--input", write_csv(tmp_path, RANK_ZERO), "--map", str(map_path)]) == 2
+    error = "error: no axes extracted; cannot draw a factor map\n"
+    assert capsys.readouterr() == ("", RANK_ZERO_WARNING + error)
+    assert not map_path.exists()
+
+
+def write_cells(tmp_path, cells, name):
+    """A table of float cells written with repr, so each reads back exactly."""
+    lines = ["label," + ",".join(f"c{j}" for j in range(len(cells[0])))]
+    lines += [f"r{i}," + ",".join(repr(float(x)) for x in row) for i, row in enumerate(cells)]
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_grand_total_past_float64_runs_as_scaled_table(tmp_path, capsys):
+    # the cells sum to 5.4e308, past float64's largest value; scaling every
+    # cell by 2^-1000 is exact, so both tables have the same P
+    cells = np.array([[5e307, 6e307, 7e307], [6e307, 5e307, 7e307], [7e307, 6e307, 5e307]])
+    outputs = []
+    for name, scale in (("huge.csv", 0), ("small.csv", -1000)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = write_cells(tmp_path, np.ldexp(cells, scale), name)
+            assert main(["--input", path, "--dims", "2"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == "" and "# method=TCA" in outputs[0].out
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [[1e300, 1, 2], [1, 1e-300, 3], [2, 1e-300, 1e-300]],
+        [[1e300, 1e300, 2e300], [1e-300, 1e-300, 3e-300], [2, 1, 1]],
+    ],
+)
+def test_cells_spanning_past_float64_exit_1(tmp_path, capsys, cells):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--input", write_cells(tmp_path, cells, "span.csv")]) == 1
     captured = capsys.readouterr()
-    assert "rank is 0" in captured.err
-    assert captured.out == "# sparsity=0.0000000\n"
+    assert captured.out == ""
+    assert captured.err == (
+        "error: cells span more than float64's range: "
+        "a product of marginals underflows to 0\n"
+    )
 
 
 def test_determinism_across_runs(tmp_path, capsys):
@@ -228,6 +285,14 @@ def test_missing_map_directory_exits_before_loading(tmp_path, capsys, monkeypatc
     assert f"error: map directory {str(map_path.parent)!r} does not exist" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_before_loading(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(catax.cli, "load_table", lambda *args, **kwargs: calls.append(args))
+    assert main(["--input", write_csv(tmp_path, COUNTS), "--seed", "-1"]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
 def test_map_path_that_is_a_directory_exits_1(tmp_path, capsys):
     # the directory exists, so only writing the map fails
     assert main(["--input", write_csv(tmp_path, COUNTS), "--map", str(tmp_path)]) == 1
@@ -266,6 +331,7 @@ def test_absent_flags_take_config_defaults():
         {"map_axes": (0, 2)},
         {"method": "magic"},
         {"output_format": "xml"},
+        {"seed": -1},
     ],
 )
 def test_config_validation(kwargs):

@@ -481,6 +481,12 @@ def test_build_model_zero_marginal_rejected():
         build_model(table)
 
 
+def test_build_model_p_is_counts_over_total_bit_for_bit(counts100):
+    for counts in counts100:
+        model = build_model(table_from_counts(counts))
+        np.testing.assert_array_equal(bits(model.P), bits(counts / counts.sum()))
+
+
 def test_model_invariants_random():
     for model in random_models(20, seed=99):
         assert abs(model.P.sum() - 1.0) < 1e-12

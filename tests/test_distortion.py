@@ -86,6 +86,23 @@ def _expected_embedded(dec, axis, index, d):
     return expected
 
 
+@pytest.mark.parametrize(
+    "function",
+    [profile, benzecri_distance, taxicab_distance, embedded_sq_distance, embedded_l1_distance],
+)
+@pytest.mark.parametrize("axis, index", [(ROWS, -1), (ROWS, 3), (COLS, -1), (COLS, 4)])
+def test_per_point_index_out_of_range(function, axis, index):
+    model = build_model(table_from_counts([[4, 1, 0, 2], [2, 3, 1, 1], [0, 2, 4, 3]]))
+    if function is embedded_sq_distance:
+        args = (ca_decompose(model), axis, index, 1)
+    elif function is embedded_l1_distance:
+        args = (tca_decompose(model), axis, index, 1)
+    else:
+        args = (model, axis, index)
+    with pytest.raises(IndexError, match=f"^{axis} index {index} out of range for 3x4 table$"):
+        function(*args)
+
+
 def _rank9_model():
     # rank >= 8 reaches the prefix lengths where a cumulative sum over axes
     # rounds differently from a fresh sum of each prefix
