@@ -14,8 +14,9 @@ from .contingency import (
     load_table,
     profile,
     sparsity,
+    standardized_residual,
 )
-from .decomposition import FactorDecomposition, numerical_rank, standardized_residual
+from .decomposition import FactorDecomposition, numerical_rank
 from .distortion import (
     CONTRACTION,
     ISOMETRY,

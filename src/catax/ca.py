@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contingency import CorrespondenceModel, _check_index, _profile_deviations, _row_blocks
+from .contingency import CorrespondenceModel, _check_index, _profile_deviations, _residual, _row_blocks
 from .decomposition import (
     CA,
     FactorDecomposition,
@@ -50,16 +50,21 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
     Makes no factorization of its own: the principal values and the
     shorter side's singular vectors come from the model's cached R-SVD (the
     one :func:`numerical_rank` reads), and only the ``k`` long-side score
-    columns are formed, by one product with ``D``, which is formed once.
+    columns are formed, by one product with ``D``, which is formed once,
+    and not at all when ``k == 0``.
     """
     rank = numerical_rank(model)
     k = resolve_k(k, rank)
     s, B = model._short_svd
     s = s[:k]
     wide = model.shape[0] < model.shape[1]
-    D, short_w, long_w = (model.D.T, model.r, model.c) if wide else (model.D, model.c, model.r)
+    short_w, long_w = (model.r, model.c) if wide else (model.c, model.r)
     x = B[:, :k] / np.sqrt(short_w)[:, None]
-    short_scores, long_scores = s * x, (D @ x) / long_w[:, None]
+    long_scores = np.empty((long_w.size, k))
+    if k:  # zero axes form no residual
+        D = model.D.T if wide else model.D
+        np.divide(D @ x, long_w[:, None], out=long_scores)
+    short_scores = s * x
     row_scores, col_scores = (short_scores, long_scores) if wide else (long_scores, short_scores)
     orient_axes(row_scores, col_scores)
     return FactorDecomposition(
@@ -102,10 +107,9 @@ def ca_total_inertia(model: CorrespondenceModel) -> float:
     """
     total = 0.0
     for b in _row_blocks(*model.shape):
-        rc = np.outer(model.r[b], model.c)
-        terms = model.P[b] - rc
+        terms = _residual(model.P[b], model.r[b], model.c)
         terms **= 2
-        terms /= rc
+        terms /= np.outer(model.r[b], model.c)
         total += float(terms.sum())
     return total
 

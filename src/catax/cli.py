@@ -31,7 +31,7 @@ from .distortion import (
     distortion_report,
     intrinsic_dimension_bounds,
 )
-from .report import _FORMATS, emit_report, report_to_dict
+from .report import emit_report, report_to_dict
 from .svgmap import emit_map
 from .tca import _STRATEGIES, tca_decompose, tca_total_dispersion
 
@@ -39,6 +39,7 @@ __all__ = ["AnalysisConfig", "build_parser", "run", "main"]
 
 _METHODS = ("ca", "tca", "both")
 _AXES = (ROWS, COLS, "both")
+_FORMATS = ("tsv", "json")
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def _emit(config: AnalysisConfig, spar: float, blocks: list[tuple]) -> None:
         sys.stdout.write(json.dumps(document, indent=2) + "\n")
         return
     parts = [f"# sparsity={spar:.7f}\n"]
-    parts.extend(emit_report(report, bounds, "tsv") for report, bounds in blocks)
+    parts.extend(emit_report(report, bounds) for report, bounds in blocks)
     sys.stdout.write("\n".join(parts))
 
 

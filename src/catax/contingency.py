@@ -30,6 +30,7 @@ __all__ = [
     "build_model",
     "sparsity",
     "profile",
+    "standardized_residual",
     "ROWS",
     "COLS",
 ]
@@ -90,16 +91,31 @@ def _row_blocks(I: int, J: int) -> Iterator[slice]:
     return (slice(b, b + rows) for b in range(0, I, rows))
 
 
+def _residual(
+    P: np.ndarray, r: np.ndarray, c: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``P - outer(r, c)``, written into ``out`` and returned.
+
+    The one place the residual is formed.  Without ``out`` the result
+    overwrites the ``outer(r, c)`` temporary, so a block costs one array of
+    its size.  Cell for cell the operations of ``P - np.outer(r, c)``, so a
+    block of ``D`` formed from a block of ``P`` and the matching slices of
+    the marginals equals that block of the whole-table expression bit for
+    bit.
+    """
+    rc = np.outer(r, c)
+    return np.subtract(P, rc, out=rc if out is None else out)
+
+
 def _standardize(P: np.ndarray, r: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
     """Write ``(P - outer(r, c)) / sqrt(outer(r, c))`` into ``out``.
 
     With ``rc = np.outer(r, c)`` these are, cell for cell, the operations of
-    ``(P - rc) / np.sqrt(rc)``, so a block of ``S`` formed from a block of
-    ``P`` and the matching slices of the marginals equals that block of the
-    whole-table expression bit for bit.
+    ``(P - rc) / np.sqrt(rc)``, so a block of ``S`` equals that block of the
+    whole-table expression bit for bit, as `_residual` does for ``D``.
     """
+    _residual(P, r, c, out)
     rc = np.outer(r, c)
-    np.subtract(P, rc, out=out)
     out /= np.sqrt(rc, out=rc)
 
 
@@ -147,8 +163,10 @@ class ContingencyTable:
 
     @property
     def n(self) -> float:
-        """Grand total of the table."""
-        return float(self.counts.sum())
+        """Grand total of the table; ``inf``, with no warning, past float64's
+        largest value (about 1.8e308), which `build_model` still accepts."""
+        with np.errstate(over="ignore"):
+            return float(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -201,7 +219,7 @@ class CorrespondenceModel:
         """
         D = np.empty(self.shape)
         for b in _row_blocks(*self.shape):
-            np.subtract(self.P[b], np.outer(self.r[b], self.c), out=D[b])
+            _residual(self.P[b], self.r[b], self.c, D[b])
         return D
 
     @property

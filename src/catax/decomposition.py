@@ -6,15 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import (
-    ROWS,
-    CorrespondenceModel,
-    _check_axis,
-    _freeze,
-    standardized_residual,
-)
+from .contingency import ROWS, CorrespondenceModel, _check_axis, _freeze
 
-__all__ = ["FactorDecomposition", "standardized_residual", "numerical_rank"]
+__all__ = ["FactorDecomposition", "numerical_rank"]
 
 RANK_RTOL = 1e-12
 

@@ -75,6 +75,10 @@ def classify(
 class DistortionReport:
     """Raw-versus-embedded comparison for every point of one axis.
 
+    Holds exactly what the JSON report prints (`catax.report.report_to_dict`;
+    the TSV block prints all but ``admissible``), each field computed once,
+    by :func:`distortion_report`.
+
     Attributes
     ----------
     method : {"CA", "TCA"}
@@ -92,10 +96,9 @@ class DistortionReport:
     admissible : (n, len(dims)) ndarray of bool
         Points entering the constants at each dimension: nonzero raw and
         nonzero embedded distance.
-    weights : (n,) ndarray
-        Marginals of the axis; the weighted average of ``raw`` is the total
-        inertia (CA) or total dispersion (TCA).
     weighted_average_raw : float
+        Marginal-weighted average of ``raw``: the total inertia (CA) or
+        total dispersion (TCA).
     weighted_average_embedded : tuple of float
         Per dimension; equals the cumulative ``delta**2`` (CA) or ``delta``
         (TCA) sums of the decomposition.
@@ -103,8 +106,6 @@ class DistortionReport:
         First ``max(dims)`` principal values of the decomposition.
     constants : tuple of (c1, c2) pairs
         Per dimension; ``c2`` is None for CA (pure contraction).
-    rank : int
-        Numerical rank of the decomposed residual.
     """
 
     method: str
@@ -115,15 +116,13 @@ class DistortionReport:
     embedded: np.ndarray
     classification: np.ndarray
     admissible: np.ndarray
-    weights: np.ndarray
     weighted_average_raw: float
     weighted_average_embedded: tuple[float, ...]
     deltas: tuple[float, ...]
     constants: tuple[tuple[float, float | None], ...]
-    rank: int
 
     def __post_init__(self) -> None:
-        for field in ("raw", "embedded", "weights"):
+        for field in ("raw", "embedded"):
             object.__setattr__(self, field, _freeze(getattr(self, field)))
         for field, dtype in (("classification", str), ("admissible", bool)):
             frozen = np.array(getattr(self, field), dtype=dtype)
@@ -163,8 +162,10 @@ def distortion_report(
     Raises
     ------
     ValueError
-        Empty ``dims``, a dimension outside ``[1, dec.k]``, or an invalid
-        axis.
+        Empty ``dims``, a dimension outside ``[1, dec.k]``, an invalid
+        axis, or a dimension with no admissible points.
+    ArithmeticError
+        A CA report below full rank whose ratios leave ``(0, 1]``.
     """
     _check_axis(axis)
     dims = tuple(sorted(set(int(d) for d in dims)))
@@ -198,12 +199,10 @@ def distortion_report(
         embedded=embedded,
         classification=classification,
         admissible=admissible,
-        weights=weights,
         weighted_average_raw=float(weights @ raw),
         weighted_average_embedded=tuple(float(weights @ embedded[:, j]) for j in range(len(dims))),
         deltas=tuple(float(x) for x in dec.deltas[: dims[-1]]),
         constants=constants,
-        rank=dec.rank,
     )
 
 
@@ -212,18 +211,17 @@ def distortion_constants(report: DistortionReport, d: int) -> tuple[float, float
 
     Returns ``(c1, c2)``: the minimum ratio and, for TCA, the maximum;
     ``c2`` is None for CA, whose ratios cannot exceed 1 below full rank.
+    These are the report's own ``constants`` at ``d``, computed once by
+    :func:`distortion_report`.
 
     Raises
     ------
     ValueError
-        ``d`` not evaluated in the report, or no admissible points.
+        ``d`` not evaluated in the report.
     """
     if d not in report.dims:
         raise ValueError(f"d={d} not among evaluated dims {report.dims}")
-    j = report.dims.index(d)
-    return _constants(
-        report.raw, report.embedded[:, j], report.admissible[:, j], report.method, d, report.rank
-    )
+    return report.constants[report.dims.index(d)]
 
 
 @dataclass(frozen=True)

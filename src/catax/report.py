@@ -1,25 +1,22 @@
-"""Serialization of distortion reports: table-style TSV and full-precision JSON.
+"""Serialization of distortion reports: one renderer per output format.
 
-TSV mirrors the diagnostic-table layout — one row per point (label, raw
-distance, embedded distance per dimension, classification per dimension),
-then footer rows for the weighted averages, the cumulative principal values
-(squared for CA), the distortion constants and, for TCA, the
-intrinsic-dimension bounds — with values at 4 decimals and a label's
-backslash, tab and line breaks escaped.  JSON carries the
-same content at full precision with a stable key order, so a parsed document
-reproduces every number exactly.
+`emit_report` renders the TSV block, which mirrors the diagnostic-table
+layout — one row per point (label, raw distance, embedded distance per
+dimension, classification per dimension), then footer rows for the weighted
+averages, the cumulative principal values (squared for CA), the distortion
+constants and, for TCA, the intrinsic-dimension bounds — with values at 4
+decimals and a label's backslash, tab and line breaks escaped.
+`report_to_dict` gives the same content at full precision with a stable key
+order, ready for ``json.dumps``, so a parsed document reproduces every number
+exactly.
 """
 
 from __future__ import annotations
-
-import json
 
 from .decomposition import CA
 from .distortion import DistortionReport, IntrinsicDimensionBounds
 
 __all__ = ["emit_report", "report_to_dict"]
-
-_FORMATS = ("tsv", "json")
 
 # A label's backslash, tab and line breaks are written as two-character
 # escapes, so each point stays one TSV line of fields.
@@ -30,16 +27,10 @@ def report_to_dict(
     report: DistortionReport, bounds: IntrinsicDimensionBounds | None = None
 ) -> dict:
     """JSON-ready dict of a report (and optional bounds), stable key order."""
-    points = [
-        {
-            "label": label,
-            "raw": float(report.raw[i]),
-            "embedded": [float(x) for x in report.embedded[i]],
-            "classification": report.classification[i].tolist(),
-            "admissible": [bool(x) for x in report.admissible[i]],
-        }
-        for i, label in enumerate(report.labels)
-    ]
+    keys = ("label", "raw", "embedded", "classification", "admissible")
+    columns = (report.labels, report.raw.tolist(), report.embedded.tolist(),
+               report.classification.tolist(), report.admissible.tolist())
+    points = [dict(zip(keys, point)) for point in zip(*columns)]
     return {
         "method": report.method,
         "axis": report.axis,
@@ -76,23 +67,11 @@ def _cumulative_deltas(report: DistortionReport) -> list[float]:
     return [cum[d - 1] for d in report.dims]
 
 
-def emit_report(
-    report: DistortionReport,
-    bounds: IntrinsicDimensionBounds | None = None,
-    format: str = "tsv",
-) -> str:
-    """Render one report as a TSV block or a JSON document.
+def emit_report(report: DistortionReport, bounds: IntrinsicDimensionBounds | None = None) -> str:
+    """Render one report (and optional bounds) as a TSV block.
 
-    Raises
-    ------
-    ValueError
-        Unsupported format.
+    The report's JSON is ``json.dumps(report_to_dict(report, bounds))``.
     """
-    if format not in _FORMATS:
-        raise ValueError(f"unsupported format {format!r}; expected one of {_FORMATS}")
-    if format == "json":
-        return json.dumps(report_to_dict(report, bounds), indent=2) + "\n"
-
     dims = report.dims
     lines = [f"# method={report.method}\taxis={report.axis}"]
     header = ["label", "raw"]

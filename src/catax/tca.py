@@ -38,6 +38,7 @@ from .contingency import (
     _check_index,
     _freeze,
     _profile_deviations,
+    _residual,
     _row_blocks,
 )
 from .decomposition import (
@@ -382,8 +383,9 @@ def tca_decompose(
     rank = numerical_rank(model)
     k = resolve_k(k, rank)
 
-    R = model.D  # a fresh array: the working residual, deflated in place
-    I, J = R.shape
+    # a fresh array: the working residual, deflated in place; none for zero axes
+    R = model.D if k else None
+    I, J = model.shape
     enumerable = min(I, J) <= EXHAUSTIVE_LIMIT
     seed_seq = np.random.SeedSequence(seed)
     # Column-major, so each axis is written contiguously and the C-ordered
@@ -452,10 +454,16 @@ def tca_total_dispersion(model: CorrespondenceModel) -> float:
     Equals the r-weighted average of row taxicab distances and the c-weighted
     average of column taxicab distances; it is the threshold the cumulative
     principal values are compared against for intrinsic-dimension bounds.
-    ``D`` is formed once and its absolute value taken in place.
+    Summed over row blocks, as `tsvd_step_iterative` sums ``|R|`` (so it
+    equals that step's first-axis ``sum|R|``), and no table-sized array is
+    made.
     """
-    D = model.D
-    return float(np.abs(D, out=D).sum())
+    total = 0.0
+    for b in _row_blocks(*model.shape):
+        D = _residual(model.P[b], model.r[b], model.c)
+        total += float(np.abs(D, out=D).sum())
+        del D  # one block at a time: not held while the next is formed
+    return total
 
 
 def _embedded_l1_distances(

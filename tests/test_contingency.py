@@ -2,6 +2,7 @@ import dataclasses
 import io
 import logging
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,13 @@ def test_delimiters_detected(delim):
 def test_delimiter_override():
     table = load_table(io.StringIO("A;x;y\nr1;2;0\nr2;0;2"), delimiter=";")
     assert table.col_labels == ("x", "y")
+
+
+def test_grand_total_past_float64_is_inf_without_warning():
+    table = ContingencyTable(("a", "b"), ("x", "y"), np.full((2, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert table.n == np.inf
 
 
 def test_real_valued_cells_accepted():

@@ -11,6 +11,7 @@ from catax import (
     STRETCHING,
     ContingencyTable,
     DistortionReport,
+    FactorDecomposition,
     benzecri_distance,
     build_model,
     ca_decompose,
@@ -230,6 +231,21 @@ def test_barycentric_point_excluded_from_constants():
 
 
 def test_constants_no_admissible_points():
+    # zero scores put every point on the barycenter in the embedding, so no
+    # point has a nonzero embedded distance and the constants are undefined
+    model = build_model(table_from_counts([[2, 1], [1, 2]]))
+    dec = FactorDecomposition(
+        method="TCA",
+        deltas=np.ones(1),
+        row_scores=np.zeros((2, 1)),
+        col_scores=np.zeros((2, 1)),
+        rank=1,
+        row_labels=model.row_labels,
+        col_labels=model.col_labels,
+        sign_vectors=((np.ones(2), np.ones(2)),),
+    )
+    with pytest.raises(ValueError, match="no admissible points"):
+        distortion_report(model, dec, ROWS, [1])
     report = DistortionReport(
         method="TCA",
         axis=ROWS,
@@ -239,15 +255,11 @@ def test_constants_no_admissible_points():
         embedded=np.zeros((2, 1)),
         classification=((ISOMETRY,), (ISOMETRY,)),
         admissible=np.zeros((2, 1), dtype=bool),
-        weights=np.array([0.5, 0.5]),
         weighted_average_raw=0.0,
         weighted_average_embedded=(0.0,),
         deltas=(1.0,),
         constants=((1.0, 1.0),),
-        rank=1,
     )
-    with pytest.raises(ValueError, match="no admissible points"):
-        distortion_constants(report, 1)
     with pytest.raises(ValueError, match="not among evaluated"):
         distortion_constants(report, 2)
 

@@ -9,6 +9,9 @@ Criss-cross ascent advances all its starts together, so the iterative TCA
 step also holds a few start-by-column arrays, ``(restarts + 10) x J`` each:
 not table-sized, but on a 200-row table each is 0.15 of one.  The TCA bound
 allows five of them on top.
+
+The total dispersion is summed over row blocks, and a zero-axis
+decomposition forms no residual, so neither makes a table-sized array.
 """
 
 import gc
@@ -32,6 +35,9 @@ from conftest import table_from_counts
 # Above the one table-sized array a stage may make, room for its block-sized
 # temporaries (a QR block here is 0.2 table sizes).
 BOUND = 1.5
+# A stage that makes no table-sized array: it sums over row blocks (one block
+# here is 0.05 table sizes), or extracts zero axes.
+SUMMED = 0.1
 RESTARTS = 20
 
 
@@ -70,6 +76,26 @@ def test_stage_heap_peaks():
         tracemalloc.stop()
     bounds = {name: BOUND * size for name in peaks}
     bounds["tca_decompose"] += 5 * batch
+    bounds["tca_total_dispersion"] = SUMMED * size
     over = {name: (peak / size, bounds[name] / size) for name, peak in peaks.items()
             if peak > bounds[name]}
     assert not over, f"(heap peak, bound) in table sizes: {over}"
+
+
+def test_zero_axes_form_no_residual():
+    # an independence table: numerical rank 0, so k=0 is all there is to extract
+    rng = np.random.default_rng(13)
+    counts = np.outer(rng.integers(1, 10, 200), rng.integers(1, 10, 1000)).astype(float)
+    model = build_model(table_from_counts(counts))
+    assert numerical_rank(model) == 0  # the model's factorization, made untraced
+    tracemalloc.start()
+    try:
+        peaks = {
+            "ca_decompose": heap_peak(lambda: ca_decompose(model, k=0))[0],
+            "tca_decompose": heap_peak(lambda: tca_decompose(model, k=0))[0],
+        }
+    finally:
+        tracemalloc.stop()
+    over = {name: peak / counts.nbytes for name, peak in peaks.items()
+            if peak > SUMMED * counts.nbytes}
+    assert not over, f"heap peak in table sizes: {over}"

@@ -49,20 +49,13 @@ def test_golden_tsv_tca_diag():
     dec = tca_decompose(DIAG)
     report = distortion_report(DIAG, dec, "rows", dims=(1,))
     bounds = intrinsic_dimension_bounds(dec.deltas, tca_total_dispersion(DIAG))
-    assert emit_report(report, bounds, format="tsv") == GOLDEN_TCA
+    assert emit_report(report, bounds) == GOLDEN_TCA
 
 
 def test_golden_tsv_ca_diag():
     dec = ca_decompose(DIAG)
     report = distortion_report(DIAG, dec, "rows", dims=(1,))
-    assert emit_report(report, format="tsv") == GOLDEN_CA
-
-
-def test_unsupported_format():
-    dec = ca_decompose(DIAG)
-    report = distortion_report(DIAG, dec, "rows", dims=(1,))
-    with pytest.raises(ValueError, match="unsupported format"):
-        emit_report(report, format="csv")
+    assert emit_report(report) == GOLDEN_CA
 
 
 def _sample_report():
@@ -76,7 +69,7 @@ def _sample_report():
 
 def test_json_round_trip_exact():
     report, bounds = _sample_report()
-    parsed = json.loads(emit_report(report, bounds, format="json"))
+    parsed = json.loads(json.dumps(report_to_dict(report, bounds), indent=2))
     for i, point in enumerate(parsed["points"]):
         assert point["label"] == report.labels[i]
         assert point["raw"] == report.raw[i]
@@ -102,7 +95,7 @@ def test_json_round_trip_exact():
 
 def test_json_key_order():
     report, bounds = _sample_report()
-    parsed = json.loads(emit_report(report, bounds, format="json"))
+    parsed = json.loads(json.dumps(report_to_dict(report, bounds), indent=2))
     assert list(parsed) == [
         "method",
         "axis",
@@ -126,7 +119,7 @@ def test_json_bounds_null_when_omitted():
     model = random_models(1, seed=4243)[0]
     dec = ca_decompose(model)
     report = distortion_report(model, dec, "rows", dims=(1,))
-    parsed = json.loads(emit_report(report, format="json"))
+    parsed = json.loads(json.dumps(report_to_dict(report), indent=2))
     assert parsed["bounds"] is None
     assert parsed["method"] == "CA"
     assert all(entry["c2"] is None for entry in parsed["constants"])
@@ -135,7 +128,7 @@ def test_json_bounds_null_when_omitted():
 def test_tsv_json_agree():
     report, bounds = _sample_report()
     doc = report_to_dict(report, bounds)
-    lines = emit_report(report, bounds, format="tsv").splitlines()
+    lines = emit_report(report, bounds).splitlines()
     ndims = len(report.dims)
     assert lines[0] == f"# method={doc['method']}\taxis={doc['axis']}"
     for i, point in enumerate(doc["points"]):
@@ -164,7 +157,7 @@ def test_tsv_capped_bounds_flag():
     assert bounds.capped
     dec = tca_decompose(DIAG)
     report = distortion_report(DIAG, dec, "rows", dims=(1,))
-    out = emit_report(report, bounds, format="tsv")
+    out = emit_report(report, bounds)
     assert out.rstrip("\n").splitlines()[-1].endswith("\tcapped")
 
 
@@ -176,7 +169,7 @@ def test_tsv_labels_escaped(axis):
     assert table.row_labels == ("r\t1", "r\n2", "a\rb\\", "plain")
     model = build_model(table)
     report = distortion_report(model, ca_decompose(model), axis, dims=(1,))
-    lines = emit_report(report, format="tsv").split("\n")
+    lines = emit_report(report).split("\n")
     header = lines[1].split("\t")
     points = [line.split("\t") for line in lines[2 : 2 + len(report.labels)]]
     assert all(len(cells) == len(header) for cells in points)

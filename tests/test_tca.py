@@ -16,6 +16,7 @@ from catax import (
     tsvd_step_exhaustive,
     tsvd_step_iterative,
 )
+from catax.contingency import _row_blocks
 from conftest import random_counts, random_models, table_from_counts
 from oracles import (
     brute_argmax,
@@ -683,6 +684,33 @@ def test_total_dispersion(models30):
         col_avg = sum(model.c[j] * taxicab_distance(model, COLS, j) for j in range(J))
         assert abs(T - row_avg) < 1e-10
         assert abs(T - col_avg) < 1e-10
+
+
+def test_total_dispersion_is_the_iterative_first_axis_sum(models30, monkeypatch):
+    # Summed over row blocks as the iterative step sums |R|: bit for bit the
+    # whole-table sum on one block (every model of models30), and on any
+    # table the sum behind the step's finalist window on its first axis.
+    windows = []
+
+    def spy(R, U, tol, _real=catax.tca._criss_cross):
+        windows.append(tol)
+        return _real(R, U, tol)
+
+    monkeypatch.setattr(catax.tca, "_criss_cross", spy)
+    counts = np.random.default_rng(0).poisson(0.5, size=(40, 5000)).astype(float)
+    counts[:, 0] += 1  # no empty row
+    counts[0] += 1  # no empty column
+    wide = build_model(table_from_counts(counts))  # two row blocks; sums differ by 1 ulp
+    for model in models30[:10] + [wide]:
+        T = tca_total_dispersion(model)
+        D = model.D
+        assert T == sum(float(np.abs(D[b]).sum()) for b in _row_blocks(*D.shape))
+        if D.size <= 1 << 17:
+            assert T == float(np.abs(D).sum())
+        assert T == pytest.approx(float(np.abs(D).sum()), rel=1e-14)
+        windows.clear()
+        tca_decompose(model, k=1, strategy="iterative", restarts=1)
+        assert windows == [catax.tca._SHORTLIST_RTOL * T]
 
 
 def test_embedded_l1_monotone_and_bounded(models30):
