@@ -15,11 +15,13 @@ matrix (n the larger side), scaled exactly by a power of two so that its
 largest entry lies in [0.5, 1), with O(n * 2^(m-1)) additions by a
 meet-in-the-middle split of each sign vector, and keeps the classes within a
 window of the best, relative to ``sum|R|`` and proven wider than twice the
-screen's rounding (about (n + 2) * 2^-23).  Larger problems use criss-cross
-ascent (``v <- sign(R u)``, ``u <- sign(R^T v)``; Choulakian, Psychometrika
-71(2), 2006) from deterministic and seeded random starts, all advanced
-together: each half-step is one matrix-matrix product over every start still
-moving.  Both solvers then apply one finalist rule to their candidates
+screen's rounding (about (n + 2) * 2^-23).  The screen's blocks run on one
+worker thread per CPU, its partial sums are formed by ``np.einsum`` rather
+than BLAS, and each score is the same at any CPU count.  Larger problems use
+criss-cross ascent (``v <- sign(R u)``, ``u <- sign(R^T v)``; Choulakian,
+Psychometrika 71(2), 2006) from deterministic and seeded random starts, all
+advanced together: each half-step is one matrix-matrix product over every
+start still moving.  Both solvers then apply one finalist rule to their candidates
 (surviving classes or distinct fixed points, in lexicographic order): keep
 those whose float64 bulk score is within ``1e-9 * sum|R|`` of the best,
 re-score them one by one as ``||R u||_1`` and take the first maximum.
@@ -28,7 +30,9 @@ re-score them one by one as ``||R u||_1`` and take the first maximum.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +89,8 @@ _SHORTLIST_CAP = 1 << 16
 # classes: numpy's broadcasting add ran about 4x slower per element on rows
 # shorter than half its 8192-element ufunc buffer (numpy 2.4).
 _LOW_BITS = 12
-# Size of the first pass's scoring block, and the bound on its low-half
-# table, in float32 elements (8 MB).
+# The first pass's scoring buffers, one per worker thread, together, and the
+# bound on its low-half table, in float32 elements (8 MB).
 _BLOCK_ELEMENTS = 1 << 21
 
 
@@ -144,6 +148,13 @@ def _first_max(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X[int(np.argmax([float(np.abs(M @ x).sum()) for x in X]))]
 
 
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _enumerate_max(M: np.ndarray) -> np.ndarray:
     """Global maximizer of ``||M x||_1`` over sign classes of x.
 
@@ -152,19 +163,25 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     x into a high half (the fixed ``x_0 = +1`` and the ``h`` most significant
     free bits, code ``a``) and a low half (the other ``l`` bits, code ``b``),
     so its score is ``sum_i |P[i, a] + Q[i, b]|`` with ``Q = Ms_l X_l^T`` and
-    ``P = Ms_h X_h^T``, the latter one block of codes ``a`` at a time, summed
-    in one reused buffer: ``I * 2^(m-1)`` additions in place of the dense
+    ``P = Ms_h X_h^T``, the latter one block of codes at a time, summed in a
+    reused buffer: ``I * 2^(m-1)`` additions in place of the dense
     ``I * m * 2^(m-1)`` multiply-adds.  ``Ms = M * 2^-e`` has its largest
     entry in [0.5, 1), an exact scaling, so the screen can neither overflow
     nor underflow to matter and decides alike at every power-of-two scale;
-    ``P`` and ``Q`` are formed in float64 and cast.  The classes within the
-    screen's rounding window of the best (see below) then go through the
-    finalist rule: scored in float64 by matrix products, a block of codes at
-    a time, narrowed to ``_SHORTLIST_RTOL`` of the best and re-scored one by
-    one, so none is dropped on its float32 value alone and ties resolve to
-    the lexicographically smallest vector.  This is the mixed-precision
-    pattern of Higham & Mary (Acta Numerica 31, 2022): the cheap pass only
-    selects, the exact pass decides.
+    ``P`` and ``Q`` are formed in float64 by ``np.einsum``, which calls no
+    BLAS, and cast.  The blocks are independent, so one worker thread per CPU
+    (at most one per ``_BLOCK_ELEMENTS`` scored elements) screens every
+    ``workers``-th block into its own slice of the scores, with its own
+    buffer; numpy's float32 loops release the GIL.  A BLAS product would leave OpenBLAS's threads spinning on the
+    CPUs the workers need.  Each score is the same float32 sum whatever the
+    worker count and block size, so the screen does not depend on the CPUs.
+    The classes within the screen's rounding window of the best (see below)
+    then go through the finalist rule: scored in float64 by matrix products,
+    a block of codes at a time, narrowed to ``_SHORTLIST_RTOL`` of the best
+    and re-scored one by one, so none is dropped on its float32 value alone
+    and ties resolve to the lexicographically smallest vector.  This is the
+    mixed-precision pattern of Higham & Mary (Acta Numerica 31, 2022): the
+    cheap pass only selects, the exact pass decides.
     """
     npoints, m = M.shape
     A = np.abs(M)
@@ -172,17 +189,45 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     Ms = np.ldexp(M, -e)
     low = min(m - 1, _LOW_BITS, max(0, (_BLOCK_ELEMENTS // npoints).bit_length() - 1))
     high = m - 1 - low
-    Q = (Ms[:, high + 1 :] @ _signs(np.arange(1 << low), low + 1)[:, 1:].T).astype(np.float32)
-    block = max(1, _BLOCK_ELEMENTS // (npoints << low))
-    buf = np.empty((npoints, min(block, 1 << high), 1 << low), dtype=np.float32)
-    vals = np.empty(1 << (m - 1), dtype=np.float32)  # code order: lexicographic
-    for a0 in range(0, 1 << high, block):
-        a1 = min(a0 + block, 1 << high)
-        P = (Ms[:, : high + 1] @ _signs(np.arange(a0, a1), high + 1).T).astype(np.float32)
-        scores = buf[:, : a1 - a0]
-        np.add(P[:, :, None], Q[:, None, :], out=scores)
-        np.abs(scores, out=scores)
-        scores.sum(axis=0, out=vals[a0 << low : a1 << low].reshape(a1 - a0, 1 << low))
+    codes = 1 << (m - 1)
+    # Q's sign table is transposed to be contiguous, which einsum runs about
+    # twice as fast; P keeps one row per code, the layout in which einsum
+    # gives each code the same sum however many codes share the call.  Q is
+    # summed in float64 a row block at a time: no float64 copy of it is held.
+    XT = np.ascontiguousarray(_signs(np.arange(1 << low), low + 1)[:, 1:].T)
+    Q = np.empty((npoints, 1 << low), dtype=np.float32)
+    for b in _row_blocks(npoints, 1 << low):
+        Q[b] = np.einsum("ij,jk->ik", Ms[b, high + 1 :], XT)
+    del XT  # not held through the screen
+    # One worker per CPU, at most one per _BLOCK_ELEMENTS scored elements; a
+    # screen that fits one block does not ask for the CPUs (a system call).
+    blocks = -(-(npoints * codes) // _BLOCK_ELEMENTS)
+    workers = min(_cpu_count(), blocks) if blocks > 1 else 1
+    # A block is ``block`` consecutive codes: whole high codes where a buffer
+    # of _BLOCK_ELEMENTS / workers holds one, else a power-of-two share of one.
+    span = max(1, _BLOCK_ELEMENTS // workers // npoints)
+    block = min(codes, span >> low << low or 1 << (span.bit_length() - 1))
+    vals = np.empty(codes, dtype=np.float32)  # code order: lexicographic
+
+    def screen(worker: int) -> None:
+        buf = np.empty((npoints, max(1, block >> low), min(block, 1 << low)), dtype=np.float32)
+        for c0 in range(worker * block, codes, workers * block):
+            c1 = min(c0 + block, codes)
+            a0, b0 = c0 >> low, c0 & ((1 << low) - 1)
+            na, nb = max(1, (c1 - c0) >> low), min(c1 - c0, 1 << low)
+            P = np.einsum(
+                "ij,kj->ik", Ms[:, : high + 1], _signs(np.arange(a0, a0 + na), high + 1)
+            ).astype(np.float32)
+            scores = buf[:, :na, :nb]
+            np.add(P[:, :, None], Q[:, None, b0 : b0 + nb], out=scores)
+            np.abs(scores, out=scores)
+            scores.sum(axis=0, out=vals[c0:c1].reshape(na, nb))
+
+    if workers == 1:
+        screen(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(screen, range(workers)))  # re-raises a worker's error
     best = float(vals.max())
     if best < math.ldexp(_DELTA_FLOOR, -e):
         return np.ones(m)  # exhausted residual: every class ties at ~0
@@ -195,12 +240,16 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     # best screened value and the true maximizer's can each be off by that
     # much, so the window is twice it; counting I + 2 roundings pays for the
     # float32 rounding of the threshold ``best - window`` in the comparison.
-    # The float64 products that form P and Q are off by at most gamma_m * S
-    # in float64 (about m * 2^-53 * S) per class, and float32 underflow in
-    # the casts by at most I * 2^-149, under 2^-84 * S for any I < 2^63:
-    # twice their sum is below m * 2^-51 * S.  Past k u >= 1 the bound is
-    # void and every class is a candidate.  The _SHORTLIST_RTOL floor never
-    # binds at the default; tests raise it to make every class a candidate.
+    # P and Q are float64 sums of signed entries of Ms, each sign exact;
+    # einsum adds them in its own order, and a sum of k terms in any order is
+    # off by at most gamma_(k-1) times the sum of their magnitudes (Higham,
+    # section 4.2).  So P and Q together, over the points, are off by at
+    # most gamma_m * S in float64 (about m * 2^-53 * S) per class, and
+    # float32 underflow in the casts by at most I * 2^-149, under
+    # 2^-84 * S for any I < 2^63: twice their sum is below m * 2^-51 * S.
+    # Past k u >= 1 the bound is void and every class is a candidate.  The
+    # _SHORTLIST_RTOL floor never binds at the default; tests raise it to
+    # make every class a candidate.
     k_u = (npoints + 2) * 2.0**-24
     rtol = 2 * k_u / (1 - k_u) + m * 2.0**-51 if k_u < 1 else np.inf
     window = max(_SHORTLIST_RTOL, rtol) * math.ldexp(A.sum(), -e)  # sum|Ms|

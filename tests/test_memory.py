@@ -12,6 +12,12 @@ allows five of them on top.
 
 The total dispersion is summed over row blocks, and a zero-axis
 decomposition forms no residual, so neither makes a table-sized array.
+
+The exhaustive TCA step's screen is bounded by what it must hold rather than
+by table sizes: its float32 score of every sign class, its float32 low-half
+table, and its scoring buffers, one per worker thread and within
+``_BLOCK_ELEMENTS`` float32 elements together.  tracemalloc sees the worker
+threads' allocations too.
 """
 
 import gc
@@ -20,6 +26,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import catax.tca
 from catax import (
     COLS,
     ROWS,
@@ -28,6 +35,7 @@ from catax import (
     numerical_rank,
     tca_decompose,
     tca_total_dispersion,
+    tsvd_step_exhaustive,
 )
 from catax.distortion import distortion_report
 from conftest import table_from_counts
@@ -99,3 +107,22 @@ def test_zero_axes_form_no_residual():
     over = {name: peak / counts.nbytes for name, peak in peaks.items()
             if peak > SUMMED * counts.nbytes}
     assert not over, f"heap peak in table sizes: {over}"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exhaustive_screen_heap_peak(monkeypatch, workers):
+    # 400 rows: the low-half table is at its widest (2^12 columns), and at
+    # two workers a block is a share of one high code.
+    monkeypatch.setattr(catax.tca, "_cpu_count", lambda: workers)
+    counts = np.random.default_rng(14).poisson(5.0, size=(400, 20)).astype(float)
+    D = build_model(table_from_counts(counts)).D
+    npoints, m = D.shape
+    scores = 4 << (m - 1)
+    buffers = 4 * catax.tca._BLOCK_ELEMENTS
+    low_table = 4 * npoints << catax.tca._LOW_BITS
+    tracemalloc.start()
+    try:
+        peak, _ = heap_peak(lambda: tsvd_step_exhaustive(D))
+    finally:
+        tracemalloc.stop()
+    assert peak <= scores + buffers + low_table, f"heap peak {peak} bytes"

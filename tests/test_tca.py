@@ -1,4 +1,5 @@
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -159,19 +160,40 @@ def exact_vector_cases(models30):
 
 
 @pytest.mark.parametrize(
-    "low_bits, block_elements, max_m",
-    [(None, None, 15), (2, 120, 10), (0, 1, 10), (3, 40, 10)],
-    ids=["defaults", "small-blocks", "no-low-half", "low-half-capped-by-block"],
+    "low_bits, block_elements, max_m, workers",
+    [
+        (None, None, 15, None),
+        (2, 120, 10, None),
+        (0, 1, 10, None),
+        (3, 40, 10, None),
+        (2, 120, 10, 1),
+        (2, 120, 10, 2),
+        (2, 120, 10, 3),
+    ],
+    ids=[
+        "defaults",
+        "small-blocks",
+        "no-low-half",
+        "low-half-capped-by-block",
+        "small-blocks-1-worker",
+        "small-blocks-2-workers",
+        "small-blocks-3-workers",
+    ],
 )
 def test_exhaustive_exact_vector(
-    exact_vector_cases, monkeypatch, low_bits, block_elements, max_m
+    exact_vector_cases, monkeypatch, low_bits, block_elements, max_m, workers
 ):
     # The certified u is the lexicographically first maximizer, whatever the
-    # meet-in-the-middle split and block size: wide and tall tables, 1 to 15
-    # signs, deflated residuals and exact ties.
+    # meet-in-the-middle split, block size and worker count: wide and tall
+    # tables, 1 to 15 signs, deflated residuals and exact ties.  Without a
+    # worker count the screen uses the CPUs this process may run on; at 120
+    # elements a screen has more blocks than workers, shared unevenly, and
+    # at three workers a taller case's block is a share of one high code.
     if low_bits is not None:
         monkeypatch.setattr(catax.tca, "_LOW_BITS", low_bits)
         monkeypatch.setattr(catax.tca, "_BLOCK_ELEMENTS", block_elements)
+    if workers is not None:
+        monkeypatch.setattr(catax.tca, "_cpu_count", lambda: workers)
     for R, expected in exact_vector_cases:
         if min(R.shape) <= max_m:
             np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, expected)
@@ -192,6 +214,61 @@ def test_exhaustive_shortlist_cap(monkeypatch, cap, rtol):
         M = rng.integers(-2, 3, size=rng.integers(2, 11, size=2)).astype(float)
         if M.any():
             np.testing.assert_array_equal(tsvd_step_exhaustive(M).u, brute_step_u(M))
+
+
+def enum_model(seed):
+    """A 50 x 20 Poisson(5) model, shaped like the exhaustive benchmark table."""
+    counts = np.random.default_rng(seed).poisson(5.0, size=(50, 20)).astype(float)
+    return build_model(table_from_counts(counts))
+
+
+def test_exhaustive_step_independent_of_worker_count(monkeypatch):
+    # The screen's blocks run on one thread per CPU, and each score is the
+    # same float32 sum at any worker count, so the step must not depend on
+    # the CPUs.  The 50 x 20 tables and the tall residual span several
+    # blocks at the default size, each two-worker call starting its threads;
+    # the small tie-heavy matrices do at 8 elements a block.
+    pools = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(catax.tca, "ThreadPoolExecutor", CountedPool)
+    residuals = [enum_model(seed).D for seed in range(3)]
+    residuals.append(poisson_model((3000, 14), 0).D)
+    ties = tie_heavy_matrices(np.random.default_rng(21), 20)
+    for block_elements, cases in ((catax.tca._BLOCK_ELEMENTS, residuals), (8, ties)):
+        monkeypatch.setattr(catax.tca, "_BLOCK_ELEMENTS", block_elements)
+        for R in cases:
+            steps = []
+            for workers in (1, 2):
+                monkeypatch.setattr(catax.tca, "_cpu_count", lambda: workers)
+                steps.append(tsvd_step_exhaustive(R))
+            one, two = steps
+            np.testing.assert_array_equal(one.u, two.u)
+            np.testing.assert_array_equal(one.v, two.v)
+            assert one.delta == two.delta
+        if cases is residuals:
+            assert pools == [2] * len(residuals)
+    assert len(pools) > len(residuals)  # some tie-heavy screens ran threaded
+
+
+def test_exhaustive_one_block_starts_no_thread(monkeypatch, models30):
+    # A screen that fits one block, as every corpus-sized table's does, runs
+    # inline: it neither asks for the CPUs nor creates an executor, so a
+    # step costs no system call and no thread start.
+    def no_pool(*args, **kwargs):
+        pytest.fail("a one-block screen created an executor")
+
+    monkeypatch.setattr(catax.tca, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(
+        catax.tca, "_cpu_count", lambda: pytest.fail("a one-block screen asked for the CPUs")
+    )
+    tsvd_step_exhaustive(np.random.default_rng(6).normal(size=(6, 8)))
+    for model in models30:
+        tca_decompose(model)
 
 
 def test_exhaustive_scale_invariant(models30):
