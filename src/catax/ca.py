@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contingency import CorrespondenceModel, _check_index, _profile_deviations, _residual, _row_blocks
+from .contingency import CorrespondenceModel, _check_index, _profile_distances, _residual, _row_blocks
 from .decomposition import (
     CA,
     FactorDecomposition,
@@ -78,14 +78,18 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
     )
 
 
-def _benzecri_distances(
-    model: CorrespondenceModel, axis: str, points=slice(None)
-) -> np.ndarray:
-    """Squared chi-square distances of the selected profiles on ``axis``."""
-    deviations, barycenter = _profile_deviations(model, axis, points)
+def _chi_square(deviations: np.ndarray, barycenter: np.ndarray) -> np.ndarray:
+    """Row-wise ``sum(deviations**2 / barycenter)``; ``deviations`` is overwritten."""
     deviations **= 2
     deviations /= barycenter
     return deviations.sum(axis=1)
+
+
+def _benzecri_distances(
+    model: CorrespondenceModel, axis: str, points: slice = slice(None)
+) -> np.ndarray:
+    """Squared chi-square distances of the selected profiles on ``axis``."""
+    return _profile_distances(model, axis, _chi_square, points)
 
 
 def benzecri_distance(model: CorrespondenceModel, axis: str, index: int) -> float:
@@ -95,7 +99,8 @@ def benzecri_distance(model: CorrespondenceModel, axis: str, index: int) -> floa
     The squared distance is returned, matching the dist^2 convention of the
     diagnostic tables.
     """
-    return float(_benzecri_distances(model, axis, [_check_index(axis, index, model.shape)])[0])
+    index = _check_index(axis, index, model.shape)
+    return float(_benzecri_distances(model, axis, slice(index, index + 1))[0])
 
 
 def ca_total_inertia(model: CorrespondenceModel) -> float:

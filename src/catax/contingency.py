@@ -16,9 +16,10 @@ import itertools
 import logging
 import os
 import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -54,6 +55,14 @@ _QR_BLOCK_LINES = 2048
 # csv ends a record at \r\n, \n or \r, and keeps every other character,
 # \x0c and \u2028 among them, as data.
 _LINE = re.compile(r"[^\r\n]*(?:\r\n|\n|\r)|[^\r\n]+\Z")
+
+# Line breaks of str.splitlines that csv keeps as data.  `_read_plain` leaves
+# a text holding any of them to the row loop.
+_SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+# `_read_plain` splits its text into lines at least this many characters at a
+# time, so it never holds a second copy of the whole text.
+_PIECE = 1 << 20
 
 
 class InvalidTableError(ValueError):
@@ -309,25 +318,34 @@ def standardized_residual(model: CorrespondenceModel) -> np.ndarray:
     return S
 
 
-def _profile_deviations(
-    model: CorrespondenceModel, axis: str, points=slice(None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deviations of profiles from their barycenter, and the barycenter.
+def _profile_distances(
+    model: CorrespondenceModel,
+    axis: str,
+    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    points: slice = slice(None),
+) -> np.ndarray:
+    """``distance(deviations, barycenter)`` of the selected profiles, a block at a time.
 
-    Row ``k`` of the first result is ``profile(model, axis, i) - barycenter``
-    for the ``k``-th point ``i`` selected by ``points`` (a slice or a list of
-    indices).  The result is a fresh C-contiguous array, so callers may
-    transform it in place and reduce along axis 1 in the same summation order
-    as a single profile.
+    ``deviations`` holds one C-contiguous row, ``profile(model, axis, i) -
+    barycenter``, for each point ``i`` of a block of the points that
+    ``points`` selects, ``_BLOCK_ELEMENTS`` elements a block (column blocks
+    are transposed into C order); ``distance`` may overwrite it and returns
+    one value per row.  A point's row holds the same numbers in any block,
+    so a reduction along axis 1 sums it in the order of a single profile and
+    the result does not depend on the blocking.
     """
     if _check_axis(axis) == ROWS:
-        deviations = model.P[points] / model.r[points, None]
-        barycenter = model.c
+        P, weights, barycenter = model.P, model.r, model.c
     else:
-        deviations = np.divide(model.P.T[points], model.c[points, None], order="C")
-        barycenter = model.r
-    deviations -= barycenter
-    return deviations, barycenter
+        P, weights, barycenter = model.P.T, model.c, model.r
+    P, weights = P[points], weights[points]
+    distances = np.empty(len(weights))
+    for b in _row_blocks(*P.shape):
+        deviations = np.divide(P[b], weights[b, None], order="C")
+        deviations -= barycenter
+        distances[b] = distance(deviations, barycenter)
+        del deviations  # not held while the next block is formed
+    return distances
 
 
 def _detect_delimiter(sample: str) -> str:
@@ -343,15 +361,33 @@ class _Decline(Exception):
     """A data line that `_read_plain` leaves to the csv row loop."""
 
 
-def _records(text: str, delimiter: str) -> tuple[Iterator[str], Iterator[list[str]]]:
-    """The lines of ``text``, split where csv ends a record, and its nonblank records.
+def _records(lines: Iterator[str], delimiter: str) -> Iterator[list[str]]:
+    """The nonblank csv records of ``lines``.
 
     The records are read from the lines, so once a record is taken the lines
-    go on after it.  One line at a time: io.StringIO would hold a
-    4-byte-per-character copy of the whole text.
+    go on after it.
     """
-    lines = (match.group() for match in _LINE.finditer(text))
-    return lines, (row for row in csv.reader(lines, delimiter=delimiter) if row)
+    return (row for row in csv.reader(lines, delimiter=delimiter) if row)
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each with its line break, split by `str.splitlines`.
+
+    For a text without the characters of ``_SPLITLINES_ONLY`` these are the
+    lines of `_LINE`, which end where csv ends a record.  The text is split a
+    piece of at least ``_PIECE`` characters at a time, each piece ending at a
+    line break, so no line is cut and only one piece's copy is held.
+    """
+    start = 0
+    while start < len(text):
+        # after a \n, so no \r\n is cut in two; else the rest has no \n
+        stop = (
+            text.find("\n", start + _PIECE) + 1
+            or text.find("\r", start + _PIECE) + 1
+            or len(text)
+        )
+        yield from text[start:stop].splitlines(keepends=True)
+        start = stop
 
 
 def _column_labels(header: Sequence[str], width: int) -> list[str] | None:
@@ -387,7 +423,8 @@ def _read_rows(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndar
     Each data row is converted as it is read and checked there, so the first
     bad row raises, and errors follow row order.
     """
-    lines, rows = _records(text, delimiter)
+    # one line at a time: io.StringIO would hold a 4-byte-per-character copy
+    rows = _records((match.group() for match in _LINE.finditer(text)), delimiter)
     header = next(rows, None)
     first = next(rows, None)
     if first is None:
@@ -426,63 +463,84 @@ def _read_rows(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndar
 def _read_plain(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndarray] | None:
     """What `_read_rows` returns, for an unquoted table of plain decimal cells.
 
-    The header is read by csv, as `_read_rows` reads it.  Each later line
-    that is not blank is a data row.  Its label is the text before the first
-    delimiter, stripped, and the rest of all data rows is parsed by one
-    `numpy.loadtxt` call, in C.  None, which leaves the text to `_read_rows`,
-    is returned when
+    The lines are split by `str.splitlines` (`_lines`).  The header is read
+    from them by csv, as `_read_rows` reads it.  Each later line that is not
+    blank is a data row.  Its label is the text before the first delimiter,
+    stripped, and the rest of all data rows is parsed by one
+    `numpy.loadtxt` call, in C.  That call reads int64 when no data cell
+    holds a ``-`` or a non-ASCII character: int64 would read ``-0`` as
+    ``+0``, and numpy's int64 parser takes some non-ASCII characters for
+    digits (numpy 2.4 even crashes on some).  An int64 parse that fails,
+    overflows or warns (numpy 1.23 warns where it would read through a
+    float) is replaced by a float64 one.  None, which leaves the text to
+    `_read_rows`, is returned when
 
     - the delimiter is not one of ``_DELIMITERS``;
-    - a data line holds a quote, a NUL or one of ``\\x1c``-``\\x1f``, or is
-      longer than csv's field size limit;
-    - a data line has no cell after its label, or not as many delimiters as
-      the first;
-    - the header does not fit the data rows;
-    - loadtxt cannot parse a cell (it rejects ``1_000`` and non-ASCII
-      digits, which ``float()`` reads);
+    - the text holds a line break of `str.splitlines` that csv keeps as data
+      (``_SPLITLINES_ONLY``: ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
+      ``\\x85``, ``\\u2028``, ``\\u2029``);
+    - a data line holds a quote, a NUL or ``\\x1f``, or is longer than csv's
+      field size limit;
+    - a data line has no cell after its label;
+    - the header does not fit the first data line;
+    - loadtxt cannot parse the cells as float64: a line has not as many
+      cells as the first, or a cell is not a number to loadtxt (it rejects
+      ``1_000`` and non-ASCII digits, which ``float()`` reads);
     - loadtxt's result has not one row per data line;
     - a count is not finite, or negative.
 
-    loadtxt reads every other cell as ``float()`` does, so a result equals
-    the one of `_read_rows` bit for bit.
+    loadtxt reads every other cell as ``float()`` does, and an int64 goes to
+    the nearest float64 as the decimal does, so a result equals the one of
+    `_read_rows` bit for bit.
     """
-    if delimiter not in _DELIMITERS:
-        return None
-    lines, records = _records(text, delimiter)
-    header = next(records, None)
-    first = next((line for line in lines if line[0] not in "\r\n"), None)
-    if first is None:  # also when there is no header
-        return None
-    fields = first.count(delimiter)
-    col_labels = _column_labels(header, fields + 1)
-    if col_labels is None:
+    if delimiter not in _DELIMITERS or any(sep in text for sep in _SPLITLINES_ONLY):
         return None
     limit = csv.field_size_limit()
-    row_labels: list[str] = []
 
-    def cells() -> Iterator[str]:
-        for line in itertools.chain((first,), lines):
-            if line[0] in "\r\n":
-                continue  # a blank line, which csv skips
-            label, _, rest = line.partition(delimiter)
-            # csv unquotes a '"' and, before Python 3.11, rejects a NUL;
-            # loadtxt strips \x1c-\x1f around a number, float() does not
-            if (
-                rest[:1] in "\r\n"  # also true on "": no delimiter, or no cell after it
-                or line.count(delimiter) != fields
-                or len(line) > limit
-                or any(char in line for char in '"\0\x1c\x1d\x1e\x1f')
-            ):
-                raise _Decline
-            row_labels.append(label.strip())
-            yield rest
+    def parse(dtype: type) -> tuple[list[str], list[str], np.ndarray]:
+        lines = _lines(text)
+        header = next(_records(lines, delimiter), None)
+        first = next((line for line in lines if line[0] not in "\r\n"), None)
+        if first is None:  # also when there is no header
+            raise _Decline
+        col_labels = _column_labels(header, first.count(delimiter) + 1)
+        if col_labels is None:
+            raise _Decline
+        row_labels: list[str] = []
+
+        def cells() -> Iterator[str]:
+            for line in itertools.chain((first,), lines):
+                if line[0] in "\r\n":
+                    continue  # a blank line, which csv skips
+                label, _, rest = line.partition(delimiter)
+                # csv unquotes a '"' and, before Python 3.11, rejects a NUL;
+                # loadtxt strips \x1f around a number, float() does not
+                if (
+                    rest[:1] in "\r\n"  # also true on "": no delimiter, or no cell after it
+                    or len(line) > limit
+                    or any(char in line for char in '"\0\x1f')
+                ):
+                    raise _Decline
+                if dtype is np.int64 and ("-" in rest or not rest.isascii()):
+                    raise ValueError("not an int64 cell")
+                row_labels.append(label.strip())
+                yield rest
+
+        counts = np.loadtxt(cells(), delimiter=delimiter, comments=None, dtype=dtype, ndmin=2)
+        return row_labels, col_labels, counts
 
     try:
-        counts = np.loadtxt(cells(), delimiter=delimiter, comments=None, dtype=float, ndmin=2)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                row_labels, col_labels, counts = parse(np.int64)
+        except (ValueError, OverflowError, DeprecationWarning):
+            row_labels, col_labels, counts = parse(np.float64)
     except (_Decline, ValueError):
         return None
+    counts = counts.astype(np.float64, copy=False)
     # loadtxt skips a blank line; the comparisons are false on NaN as well
-    if counts.shape != (len(row_labels), fields) or not (
+    if counts.shape != (len(row_labels), len(col_labels)) or not (
         0 <= counts.min() <= counts.max() < np.inf
     ):
         return None
@@ -504,15 +562,18 @@ def load_table(
 
     Cells are read as ``float()`` reads them (surrounding whitespace,
     ``1_000``, ``+5``, ``1e3`` and non-ASCII digits are accepted).  A table
-    without quotes whose cells are all plain decimal numbers, finite and
-    nonnegative, is read in one pass in C (`_read_plain`).  Any other text,
-    every malformed one among it, is read from its start by the csv row
-    loop (`_read_rows`): each data row is converted, as it is read, into its
-    row of one preallocated array and checked there, so a row with the wrong
-    number of fields, or with a cell that is not a number, not finite or
-    negative, is rejected before the next row is read, naming its field
-    count or else its first bad cell.  Errors therefore follow row order.
-    Both ways give the same labels and counts.  The size (at least 2x2) is
+    without quotes, and without a line break that `str.splitlines` honours
+    and csv keeps as data, whose cells are all plain decimal numbers, finite
+    and nonnegative, is read in one pass in C (`_read_plain`): as int64,
+    then converted, when no cell holds a ``-`` or a non-ASCII character,
+    else as float64.  Any other text, every malformed one among it, is read
+    from its start by the csv row loop (`_read_rows`): each data row is
+    converted, as it is read, into its row of one preallocated array and
+    checked there, so a row with the wrong number of fields, or with a cell
+    that is not a number, not finite or negative, is rejected before the
+    next row is read, naming its field count or else its first bad cell.
+    Errors therefore follow row order.  Both ways give the same labels and
+    counts.  The size (at least 2x2) is
     checked next, then all-zero rows and columns.
 
     Parameters

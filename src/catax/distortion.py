@@ -125,7 +125,7 @@ class DistortionReport:
         for field in ("raw", "embedded"):
             object.__setattr__(self, field, _freeze(getattr(self, field)))
         for field, dtype in (("classification", str), ("admissible", bool)):
-            frozen = np.array(getattr(self, field), dtype=dtype)
+            frozen = np.asarray(getattr(self, field), dtype=dtype)  # as _freeze: no copy
             frozen.flags.writeable = False
             object.__setattr__(self, field, frozen)
 

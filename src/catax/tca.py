@@ -41,7 +41,7 @@ from .contingency import (
     CorrespondenceModel,
     _check_index,
     _freeze,
-    _profile_deviations,
+    _profile_distances,
     _residual,
     _row_blocks,
 )
@@ -90,7 +90,8 @@ _SHORTLIST_CAP = 1 << 16
 # shorter than half its 8192-element ufunc buffer (numpy 2.4).
 _LOW_BITS = 12
 # The first pass's scoring buffers, one per worker thread, together, and the
-# bound on its low-half table, in float32 elements (8 MB).
+# bound on its low-half table, in float32 elements (8 MB); the exact pass's
+# float64 scores and signs of one chunk of candidates take the same 8 MB.
 _BLOCK_ELEMENTS = 1 << 21
 
 
@@ -125,11 +126,13 @@ def _signs(codes: np.ndarray, m: int) -> np.ndarray:
 
     The first component is +1; the remaining bits, most significant first,
     give the other components with 0 -> -1, so ascending codes enumerate
-    vectors in lexicographic order (-1 before +1).
+    vectors in lexicographic order (-1 before +1).  ``m`` is at most 64.
     """
-    shifts = np.arange(m - 2, -1, -1, dtype=np.uint64)
-    X = np.ones((codes.size, m))
-    X[:, 1:] = 2.0 * ((codes.astype(np.uint64)[:, None] >> shifts) & 1) - 1.0
+    # the low m bits of each code, most significant first, as 0/1 int8
+    bits = np.unpackbits(codes.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
+    bits = bits[:, 64 - m :].view(np.int8)
+    X = (bits + bits - 1).astype(np.float64)
+    X[:, 0] = 1.0
     return X
 
 
@@ -177,11 +180,12 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     worker count and block size, so the screen does not depend on the CPUs.
     The classes within the screen's rounding window of the best (see below)
     then go through the finalist rule: scored in float64 by matrix products,
-    a block of codes at a time, narrowed to ``_SHORTLIST_RTOL`` of the best
-    and re-scored one by one, so none is dropped on its float32 value alone
-    and ties resolve to the lexicographically smallest vector.  This is the
-    mixed-precision pattern of Higham & Mary (Acta Numerica 31, 2022): the
-    cheap pass only selects, the exact pass decides.
+    a chunk of codes at a time within the screen's memory budget, narrowed
+    to ``_SHORTLIST_RTOL`` of the best and re-scored one by one, so none is
+    dropped on its float32 value alone and ties resolve to the
+    lexicographically smallest vector.  This is the mixed-precision pattern
+    of Higham & Mary (Acta Numerica 31, 2022): the cheap pass only selects,
+    the exact pass decides.
     """
     npoints, m = M.shape
     A = np.abs(M)
@@ -254,11 +258,15 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     rtol = 2 * k_u / (1 - k_u) + m * 2.0**-51 if k_u < 1 else np.inf
     window = max(_SHORTLIST_RTOL, rtol) * math.ldexp(A.sum(), -e)  # sum|Ms|
     candidates = np.flatnonzero(vals >= best - window)
-    step = max(1, _BLOCK_ELEMENTS // max(npoints, m))
-    exact = np.concatenate([
-        np.abs(M @ _signs(candidates[c : c + step], m).T).sum(axis=0)
-        for c in range(0, candidates.size, step)
-    ])
+    del vals, Q  # not held through the exact pass
+    # A chunk's float64 scores and signs together take at most the first
+    # pass's 4 * _BLOCK_ELEMENTS bytes.
+    step = max(1, _BLOCK_ELEMENTS // (2 * (npoints + m)))
+    exact = np.empty(candidates.size)
+    for c in range(0, candidates.size, step):
+        scores = M @ _signs(candidates[c : c + step], m).T
+        exact[c : c + step] = np.abs(scores, out=scores).sum(axis=0)
+        del scores  # not held while the next chunk is formed
     keep = _finalists(exact, _SHORTLIST_RTOL * A.sum())
     return _first_max(M, _signs(candidates[keep], m))
 
@@ -481,12 +489,16 @@ def tca_decompose(
     )
 
 
+def _l1(deviations: np.ndarray, barycenter: np.ndarray) -> np.ndarray:
+    """Row-wise L1 norms of ``deviations``, which are overwritten."""
+    return np.abs(deviations, out=deviations).sum(axis=1)
+
+
 def _taxicab_distances(
-    model: CorrespondenceModel, axis: str, points=slice(None)
+    model: CorrespondenceModel, axis: str, points: slice = slice(None)
 ) -> np.ndarray:
     """Taxicab distances of the selected profiles on ``axis``."""
-    deviations, _ = _profile_deviations(model, axis, points)
-    return np.abs(deviations, out=deviations).sum(axis=1)
+    return _profile_distances(model, axis, _l1, points)
 
 
 def taxicab_distance(model: CorrespondenceModel, axis: str, index: int) -> float:
@@ -494,7 +506,8 @@ def taxicab_distance(model: CorrespondenceModel, axis: str, index: int) -> float
 
     Rows: ``sum_j |p_ij/p_i+ - p_+j|``; columns symmetrically.
     """
-    return float(_taxicab_distances(model, axis, [_check_index(axis, index, model.shape)])[0])
+    index = _check_index(axis, index, model.shape)
+    return float(_taxicab_distances(model, axis, slice(index, index + 1))[0])
 
 
 def tca_total_dispersion(model: CorrespondenceModel) -> float:

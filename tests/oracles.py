@@ -34,6 +34,18 @@ def brute_argmax(M: np.ndarray) -> np.ndarray:
     return best_u
 
 
+def shifted_signs(codes: np.ndarray, m: int) -> np.ndarray:
+    """Sign vectors of enumeration codes, one row per code, built by shifts.
+
+    The first component is +1; bit ``m - 2 - k`` of a code gives component
+    ``k + 1``, +1 for a set bit and -1 for a clear one.
+    """
+    shifts = np.arange(m - 2, -1, -1, dtype=np.uint64)
+    X = np.ones((codes.size, m))
+    X[:, 1:] = 2.0 * ((codes.astype(np.uint64)[:, None] >> shifts) & 1) - 1.0
+    return X
+
+
 def svd_start_signs(R: np.ndarray, q: int) -> list:
     """Signs (sign(0) = +1) of the first ``q`` right singular vectors of ``R``.
 

@@ -163,6 +163,19 @@ _PATH_CASES = {
     "overflow": ("A,x,y\nr1,1,1e400\nr2,3,4\n", True),
     "negative": ("A,x,y\nr1,1,2\nr2,3,-4\n", True),
     "long-line": ("A,x,y\nr1,1," + "0" * 200_000 + "2\nr2,3,4\n", True),
+    # _outcome compares the counts' bytes, so a -0 read as +0 fails
+    "minus-zero-last-row": ("A,x,y\nr1,1,2\nr2,3,-0\n", False),
+    "two-to-53-plus-one": ("A,x,y\nr1,9007199254740993,1\nr2,1,1\n", False),
+    "past-int64": ("A,x,y\nr1,1,99999999999999999999\nr2,1,1\n", False),
+    "decimal-last-row": ("A,x,y\nr1,1,2\nr2,3,1.5\n", False),
+    "labels-e-n-minus-dot": ("A,x-e.n,y.n\ne-n.1,1,2\nn.e-2,3,4\n", False),
+    "non-ascii-label": ("A,x,y\nGen\u00e8se,1,2\nr2,3,4\n", False),
+    # numpy's int64 parser reads U+01FE as a digit
+    "non-ascii-cell": ("A,x,y\nr1,1,\u01fe3\nr2,1,1\n", True),
+    **{
+        f"line-break-{sep!r}": (f"A,x,y\nr{sep}1,1,2\nr2,3,4\n", True)
+        for sep in ["\v", "\f", "\x85", "\u2028", "\u2029"]
+    },
 }
 
 
@@ -217,6 +230,22 @@ def test_fast_path_matches_row_loop_on_random_tables(monkeypatch):
         assert fast == loop, text
         taken += not ran
     assert taken > 1000
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 5, 8])
+def test_lines_in_pieces_end_where_csv_ends_them(monkeypatch, piece):
+    # however a text that _read_plain reads is cut into pieces,
+    # str.splitlines gives the lines that end at \r\n, \n or \r, each with
+    # its line break
+    monkeypatch.setattr(catax.contingency, "_PIECE", piece)
+    rng = random.Random(piece)
+    texts = [_random_table_text(rng) for _ in range(300)]
+    texts += ["a\r\n\r\nb\rc\n\n\rd", "\r\n" * 5, "\r" * 5 + "x", "x\n\r\r\n"]
+    for text in texts:
+        if any(sep in text for sep in catax.contingency._SPLITLINES_ONLY):
+            continue
+        expected = [match.group() for match in catax.contingency._LINE.finditer(text)]
+        assert list(catax.contingency._lines(text)) == expected, text
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catax.contingency
 from catax import (
     COLS,
     CONTRACTION,
@@ -136,6 +137,19 @@ def test_report_contents_random(method, axis, models30):
                     if d < dec.rank:
                         assert report.classification[i][j] != STRETCHING
     assert dec.rank >= 8  # the last model reached d >= 8
+
+
+@pytest.mark.parametrize("block_elements", [1, 7, 25])
+def test_raw_distances_independent_of_blocks(monkeypatch, models30, block_elements):
+    # profiles are formed a block of points at a time; every point's raw
+    # distance is still the sum of its own row, bit for bit
+    monkeypatch.setattr(catax.contingency, "_BLOCK_ELEMENTS", block_elements)
+    for model in models30[:8]:
+        for method, dec in (("CA", ca_decompose(model)), ("TCA", tca_decompose(model))):
+            for axis in (ROWS, COLS):
+                raw = distortion_report(model, dec, axis, [1]).raw
+                n = len(model.labels(axis))
+                assert raw.tolist() == [_expected_raw(model, method, axis, i) for i in range(n)]
 
 
 def test_report_classification_columns(models30):

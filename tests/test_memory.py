@@ -10,14 +10,17 @@ step also holds a few start-by-column arrays, ``(restarts + 10) x J`` each:
 not table-sized, but on a 200-row table each is 0.15 of one.  The TCA bound
 allows five of them on top.
 
-The total dispersion is summed over row blocks, and a zero-axis
-decomposition forms no residual, so neither makes a table-sized array.
+The total dispersion and the raw distances of a distortion report are
+summed over blocks, and a zero-axis decomposition forms no residual, so none
+of them makes a table-sized array.
 
 The exhaustive TCA step's screen is bounded by what it must hold rather than
 by table sizes: its float32 score of every sign class, its float32 low-half
 table, and its scoring buffers, one per worker thread and within
 ``_BLOCK_ELEMENTS`` float32 elements together.  tracemalloc sees the worker
-threads' allocations too.
+threads' allocations too.  Its exact pass holds 16 bytes per candidate (code
+and float64 score) and one chunk of float64 scores and signs within the same
+``4 * _BLOCK_ELEMENTS`` bytes as the buffers.
 """
 
 import gc
@@ -82,9 +85,9 @@ def test_stage_heap_peaks():
                 peaks[name], _ = heap_peak(lambda: distortion_report(model, dec, axis, [1, 2]))
     finally:
         tracemalloc.stop()
-    bounds = {name: BOUND * size for name in peaks}
+    summed = ("tca_total_dispersion", "distortion_report")
+    bounds = {name: (SUMMED if name.startswith(summed) else BOUND) * size for name in peaks}
     bounds["tca_decompose"] += 5 * batch
-    bounds["tca_total_dispersion"] = SUMMED * size
     over = {name: (peak / size, bounds[name] / size) for name, peak in peaks.items()
             if peak > bounds[name]}
     assert not over, f"(heap peak, bound) in table sizes: {over}"
@@ -123,6 +126,27 @@ def test_exhaustive_screen_heap_peak(monkeypatch, workers):
     tracemalloc.start()
     try:
         peak, _ = heap_peak(lambda: tsvd_step_exhaustive(D))
+    finally:
+        tracemalloc.stop()
+    assert peak <= scores + buffers + low_table, f"heap peak {peak} bytes"
+
+
+def test_exhaustive_exact_pass_heap_peak():
+    # Three heavy columns and 17 light ones along one row vector: the float32
+    # screen ties all 2^17 settings of the light signs, so the exact pass
+    # scores 2^17 candidates, 2 MB of codes and scores, no more than the
+    # screen's 2 MB of scores.
+    rng = np.random.default_rng(0)
+    M = np.empty((50, 20))
+    M[:, :3] = rng.standard_normal((50, 3))
+    M[:, 3:] = 1e-7 * np.outer(rng.standard_normal(50), rng.uniform(0.5, 1.5, 17))
+    npoints, m = M.shape
+    scores = 4 << (m - 1)
+    buffers = 4 * catax.tca._BLOCK_ELEMENTS
+    low_table = 4 * npoints << catax.tca._LOW_BITS
+    tracemalloc.start()
+    try:
+        peak, _ = heap_peak(lambda: tsvd_step_exhaustive(M))
     finally:
         tracemalloc.stop()
     assert peak <= scores + buffers + low_table, f"heap peak {peak} bytes"

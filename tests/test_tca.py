@@ -25,6 +25,7 @@ from oracles import (
     criss_cross,
     dispersion_loop,
     exact_residual,
+    shifted_signs,
     svd_start_signs,
     taxicab_col_loop,
     taxicab_row_loop,
@@ -116,6 +117,17 @@ def test_exhaustive_on_deflated_residuals(models30):
             assert step.delta == pytest.approx(brute_delta1(R), abs=1e-12)
             check_step_fixed_point(R, step)
             R = R - np.outer(R @ step.u, step.v @ R) / step.delta
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_sign_tables_match_shifted_codes(m):
+    # every code up to 3 * 2^12 of them, else the first and last 2^12 codes
+    # and 2^12 drawn between
+    codes = np.arange(1 << (m - 1))
+    if codes.size > 3 << 12:
+        draws = np.random.default_rng(m).integers(0, codes.size, 1 << 12)
+        codes = np.unique(np.concatenate((codes[: 1 << 12], codes[-(1 << 12) :], draws)))
+    np.testing.assert_array_equal(catax.tca._signs(codes, m), shifted_signs(codes, m))
 
 
 def brute_step_u(R):
