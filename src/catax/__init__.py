@@ -2,7 +2,7 @@
 contingency tables, with per-point embedding-distortion diagnostics and
 intrinsic-dimension bounds."""
 
-from .ca import benzecri_distance, ca_decompose, ca_total_inertia, embedded_sq_distance
+from .ca import ca_decompose
 from .cli import AnalysisConfig, main, run
 from .contingency import (
     COLS,
@@ -12,7 +12,6 @@ from .contingency import (
     InvalidTableError,
     build_model,
     load_table,
-    profile,
     sparsity,
     standardized_residual,
 )
@@ -23,20 +22,24 @@ from .distortion import (
     STRETCHING,
     DistortionReport,
     IntrinsicDimensionBounds,
+    benzecri_distance,
+    ca_total_inertia,
     classify,
     distortion_constants,
     distortion_report,
+    embedded_l1_distance,
+    embedded_sq_distance,
     intrinsic_dimension_bounds,
+    profile,
+    taxicab_distance,
+    tca_total_dispersion,
 )
 from .report import emit_report, report_to_dict
 from .svgmap import emit_map
 from .tca import (
     EXHAUSTIVE_LIMIT,
     TsvdStepResult,
-    embedded_l1_distance,
-    taxicab_distance,
     tca_decompose,
-    tca_total_dispersion,
     tsvd_step_exhaustive,
     tsvd_step_iterative,
 )

@@ -7,13 +7,16 @@ scores are ``f_alpha(i) = sigma_alpha u_alpha(i) / sqrt(r_i)`` and
 The SVD is the model's one cached R-SVD, which holds ``sigma`` and the
 singular vectors of the shorter side only; the other side's scores come from
 the transition formulas ``f = D (g / delta) / r`` and ``g = D^T (f / delta) / c``.
+
+This module holds `ca_decompose` only; the chi-square distances and the
+total inertia are in `catax.distortion`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .contingency import CorrespondenceModel, _check_index, _profile_distances, _residual, _row_blocks
+from .contingency import CorrespondenceModel
 from .decomposition import (
     CA,
     FactorDecomposition,
@@ -22,12 +25,7 @@ from .decomposition import (
     resolve_k,
 )
 
-__all__ = [
-    "ca_decompose",
-    "benzecri_distance",
-    "ca_total_inertia",
-    "embedded_sq_distance",
-]
+__all__ = ["ca_decompose"]
 
 
 def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> FactorDecomposition:
@@ -76,66 +74,3 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
         row_labels=model.row_labels,
         col_labels=model.col_labels,
     )
-
-
-def _chi_square(deviations: np.ndarray, barycenter: np.ndarray) -> np.ndarray:
-    """Row-wise ``sum(deviations**2 / barycenter)``; ``deviations`` is overwritten."""
-    deviations **= 2
-    deviations /= barycenter
-    return deviations.sum(axis=1)
-
-
-def _benzecri_distances(
-    model: CorrespondenceModel, axis: str, points: slice = slice(None)
-) -> np.ndarray:
-    """Squared chi-square distances of the selected profiles on ``axis``."""
-    return _profile_distances(model, axis, _chi_square, points)
-
-
-def benzecri_distance(model: CorrespondenceModel, axis: str, index: int) -> float:
-    """Squared chi-square distance of one profile from its barycenter.
-
-    Rows: ``sum_j (p_ij/p_i+ - p_+j)**2 / p_+j``; columns symmetrically.
-    The squared distance is returned, matching the dist^2 convention of the
-    diagnostic tables.
-    """
-    index = _check_index(axis, index, model.shape)
-    return float(_benzecri_distances(model, axis, slice(index, index + 1))[0])
-
-
-def ca_total_inertia(model: CorrespondenceModel) -> float:
-    """Total inertia ``sum D**2 / outer(r, c)``.
-
-    Equals the r-weighted average of squared row distances, the c-weighted
-    average of squared column distances, and ``sum(deltas**2)`` of the full
-    decomposition.  Summed over row blocks, so no table-sized array is made.
-    """
-    total = 0.0
-    for b in _row_blocks(*model.shape):
-        terms = _residual(model.P[b], model.r[b], model.c)
-        terms **= 2
-        terms /= np.outer(model.r[b], model.c)
-        total += float(terms.sum())
-    return total
-
-
-def _embedded_sq_distances(
-    dec: FactorDecomposition, axis: str, d: int, points=slice(None)
-) -> np.ndarray:
-    """Squared distances of the selected points in the first ``d`` axes."""
-    if dec.method != CA:
-        raise ValueError("embedded_sq_distance requires a CA decomposition")
-    if not 1 <= d <= dec.k:
-        raise ValueError(f"d must be in [1, {dec.k}], got {d}")
-    # one row-wise sum per prefix; a cumsum over axes would round differently
-    return (dec.scores(axis)[points, :d] ** 2).sum(axis=1)
-
-
-def embedded_sq_distance(dec: FactorDecomposition, axis: str, index: int, d: int) -> float:
-    """Squared distance in the first ``d`` axes: ``sum_{alpha<=d} f_alpha**2``.
-
-    Non-decreasing in ``d``; never exceeds the squared chi-square distance,
-    with equality at ``d == rank``.
-    """
-    index = _check_index(axis, index, (len(dec.row_labels), len(dec.col_labels)))
-    return float(_embedded_sq_distances(dec, axis, d, [index])[0])

@@ -30,10 +30,11 @@ from .distortion import (
     DEFAULT_REL_TOL,
     distortion_report,
     intrinsic_dimension_bounds,
+    tca_total_dispersion,
 )
 from .report import emit_report, report_to_dict
 from .svgmap import emit_map
-from .tca import _STRATEGIES, tca_decompose, tca_total_dispersion
+from .tca import _STRATEGIES, tca_decompose
 
 __all__ = ["AnalysisConfig", "build_parser", "run", "main"]
 
@@ -82,6 +83,8 @@ class AnalysisConfig:
         axes = tuple(int(a) for a in self.map_axes)
         if len(axes) != 2 or min(axes) < 1:
             raise ValueError("map-axes must be two positive axis numbers")
+        if axes[0] == axes[1]:
+            raise ValueError("the two map axes must differ")
         object.__setattr__(self, "map_axes", axes)
 
 

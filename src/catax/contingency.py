@@ -7,6 +7,9 @@ correspondence matrix ``P = N / n`` and its marginals ``r`` (rows) and ``c``
 are derived from them on demand, in row blocks, so a model holds one array
 the size of the table.  Every quantity downstream (both factorization
 engines, the distortion diagnostics) is a function of this model.
+
+This module holds the table, its parser and the model; the distances
+between profiles and their totals are in `catax.distortion`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -30,7 +33,6 @@ __all__ = [
     "load_table",
     "build_model",
     "sparsity",
-    "profile",
     "standardized_residual",
     "ROWS",
     "COLS",
@@ -79,14 +81,6 @@ def _check_axis(axis: str) -> str:
     if axis not in (ROWS, COLS):
         raise ValueError(f"axis must be {ROWS!r} or {COLS!r}, got {axis!r}")
     return axis
-
-
-def _check_index(axis: str, index: int, shape: tuple[int, int]) -> int:
-    """``index`` if it numbers a point of ``axis`` in a table of ``shape``, else IndexError."""
-    I, J = shape
-    if not 0 <= index < (I if _check_axis(axis) == ROWS else J):
-        raise IndexError(f"{axis} index {index} out of range for {I}x{J} table")
-    return index
 
 
 def _check_size(I: int, J: int) -> None:
@@ -316,36 +310,6 @@ def standardized_residual(model: CorrespondenceModel) -> np.ndarray:
     for b in _row_blocks(*model.shape):
         _standardize(model.P[b], model.r[b], model.c, S[b])
     return S
-
-
-def _profile_distances(
-    model: CorrespondenceModel,
-    axis: str,
-    distance: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    points: slice = slice(None),
-) -> np.ndarray:
-    """``distance(deviations, barycenter)`` of the selected profiles, a block at a time.
-
-    ``deviations`` holds one C-contiguous row, ``profile(model, axis, i) -
-    barycenter``, for each point ``i`` of a block of the points that
-    ``points`` selects, ``_BLOCK_ELEMENTS`` elements a block (column blocks
-    are transposed into C order); ``distance`` may overwrite it and returns
-    one value per row.  A point's row holds the same numbers in any block,
-    so a reduction along axis 1 sums it in the order of a single profile and
-    the result does not depend on the blocking.
-    """
-    if _check_axis(axis) == ROWS:
-        P, weights, barycenter = model.P, model.r, model.c
-    else:
-        P, weights, barycenter = model.P.T, model.c, model.r
-    P, weights = P[points], weights[points]
-    distances = np.empty(len(weights))
-    for b in _row_blocks(*P.shape):
-        deviations = np.divide(P[b], weights[b, None], order="C")
-        deviations -= barycenter
-        distances[b] = distance(deviations, barycenter)
-        del deviations  # not held while the next block is formed
-    return distances
 
 
 def _detect_delimiter(sample: str) -> str:
@@ -600,7 +564,8 @@ def load_table(
         if hasattr(source, "read"):
             text = source.read()
         else:
-            with open(source, "r", encoding="utf-8") as handle:
+            # newline="": csv reads line breaks itself, those in quoted fields too
+            with open(source, "r", encoding="utf-8", newline="") as handle:
                 text = handle.read()
     except UnicodeDecodeError as exc:
         raise InvalidTableError(f"input is not {exc.encoding} text ({exc.reason})") from None
@@ -667,15 +632,3 @@ def build_model(table: ContingencyTable) -> CorrespondenceModel:
 def sparsity(table: ContingencyTable) -> float:
     """Fraction of zero cells, in ``[0, 1]``."""
     return float(np.count_nonzero(table.counts == 0) / table.counts.size)
-
-
-def profile(model: CorrespondenceModel, axis: str, index: int) -> np.ndarray:
-    """Profile of one row (``P[i] / r[i]``) or column (``P[:, j] / c[j]``).
-
-    The result is a probability vector; the weighted average of all profiles
-    on an axis is the opposite marginal (the barycenter).
-    """
-    _check_index(axis, index, model.shape)
-    if axis == ROWS:
-        return model.P[index] / model.r[index]
-    return model.P[:, index] / model.c[index]

@@ -1,4 +1,4 @@
-"""Per-point embedding distortion and TCA intrinsic-dimension bounds.
+"""Distances, per-point embedding distortion and TCA intrinsic-dimension bounds.
 
 Embedding the profiles in the first ``d`` factor axes maps each point's raw
 distance from the barycenter (squared chi-square for CA, taxicab for TCA) to
@@ -6,6 +6,13 @@ an embedded distance (``sum f**2`` resp. ``sum |f|``).  Comparing the two
 classifies every point as a contraction, isometry or stretching; the extreme
 ratios over admissible points are the distortion constants ``c1`` (and ``c2``
 for TCA).  CA below full rank only contracts; TCA can do either.
+
+Every distance of the package lives here: one table, ``_GEOMETRY``, holds
+each method's raw-distance kernel and embedded-distance map; one blocked
+loop forms the raw distances of any set of points; the per-point functions
+(`profile`, `benzecri_distance`, `taxicab_distance`, `embedded_sq_distance`,
+`embedded_l1_distance`) and the totals (`ca_total_inertia`,
+`tca_total_dispersion`) are built on them.
 
 For TCA the cumulative principal values are compared against the total
 dispersion ``T = sum |D_ij|``: the smallest ``d`` whose cumulative sum
@@ -20,12 +27,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .ca import _benzecri_distances, _embedded_sq_distances
-from .contingency import CorrespondenceModel, _check_axis, _freeze
+from .contingency import ROWS, CorrespondenceModel, _check_axis, _freeze, _residual, _row_blocks
 from .decomposition import CA, TCA, FactorDecomposition
-from .tca import _embedded_l1_distances, _taxicab_distances
 
 __all__ = [
+    "profile",
+    "benzecri_distance",
+    "taxicab_distance",
+    "embedded_sq_distance",
+    "embedded_l1_distance",
+    "ca_total_inertia",
+    "tca_total_dispersion",
     "CONTRACTION",
     "ISOMETRY",
     "STRETCHING",
@@ -43,6 +55,162 @@ ISOMETRY = "Isometry"
 STRETCHING = "Stretching"
 
 DEFAULT_REL_TOL = 1e-9
+
+
+def _chi_square(deviations: np.ndarray, barycenter: np.ndarray) -> np.ndarray:
+    """Row-wise ``sum(deviations**2 / barycenter)``; ``deviations`` is overwritten."""
+    deviations **= 2
+    deviations /= barycenter
+    return deviations.sum(axis=1)
+
+
+def _l1(deviations: np.ndarray, barycenter: np.ndarray) -> np.ndarray:
+    """Row-wise L1 norms of ``deviations``, which are overwritten."""
+    return np.abs(deviations, out=deviations).sum(axis=1)
+
+
+# Each method's geometry: the raw distance of a block of profile deviations
+# from the barycenter, and the map whose sum over a point's first ``d``
+# scores is its embedded distance.
+_GEOMETRY = {CA: (_chi_square, np.square), TCA: (_l1, np.abs)}
+
+
+def _check_index(axis: str, index: int, shape: tuple[int, int]) -> int:
+    """``index`` if it numbers a point of ``axis`` in a table of ``shape``, else IndexError."""
+    I, J = shape
+    if not 0 <= index < (I if _check_axis(axis) == ROWS else J):
+        raise IndexError(f"{axis} index {index} out of range for {I}x{J} table")
+    return index
+
+
+def _raw_distances(
+    model: CorrespondenceModel, method: str, axis: str, points: slice = slice(None)
+) -> np.ndarray:
+    """Raw distances of the selected profiles on ``axis`` from their barycenter.
+
+    The squared chi-square distance for CA, the taxicab distance for TCA:
+    the method's kernel in ``_GEOMETRY`` reduces, one block of `_row_blocks`
+    at a time, ``deviations`` that hold one C-contiguous row,
+    ``profile(model, axis, i) - barycenter``, for each point ``i`` of a block
+    of the points that ``points`` selects (column blocks are transposed into
+    C order), and may overwrite them.  A point's row holds the same numbers
+    in any block, so a reduction along axis 1 sums it in the order of a
+    single profile and the result does not depend on the blocking.
+    """
+    distance = _GEOMETRY[method][0]
+    if _check_axis(axis) == ROWS:
+        P, weights, barycenter = model.P, model.r, model.c
+    else:
+        P, weights, barycenter = model.P.T, model.c, model.r
+    P, weights = P[points], weights[points]
+    distances = np.empty(len(weights))
+    for b in _row_blocks(*P.shape):
+        deviations = np.divide(P[b], weights[b, None], order="C")
+        deviations -= barycenter
+        distances[b] = distance(deviations, barycenter)
+        del deviations  # not held while the next block is formed
+    return distances
+
+
+def _embedded_distances(
+    dec: FactorDecomposition, axis: str, d: int, points=slice(None)
+) -> np.ndarray:
+    """Embedded distances of the selected points in the first ``d`` axes:
+    ``sum f**2`` for CA, ``sum |f|`` for TCA."""
+    if not 1 <= d <= dec.k:
+        raise ValueError(f"d must be in [1, {dec.k}], got {d}")
+    # one row-wise sum per prefix; a cumsum over axes would round differently
+    return _GEOMETRY[dec.method][1](dec.scores(axis)[points, :d]).sum(axis=1)
+
+
+def profile(model: CorrespondenceModel, axis: str, index: int) -> np.ndarray:
+    """Profile of one row (``P[i] / r[i]``) or column (``P[:, j] / c[j]``).
+
+    The result is a probability vector; the weighted average of all profiles
+    on an axis is the opposite marginal (the barycenter).
+    """
+    _check_index(axis, index, model.shape)
+    if axis == ROWS:
+        return model.P[index] / model.r[index]
+    return model.P[:, index] / model.c[index]
+
+
+def benzecri_distance(model: CorrespondenceModel, axis: str, index: int) -> float:
+    """Squared chi-square distance of one profile from its barycenter.
+
+    Rows: ``sum_j (p_ij/p_i+ - p_+j)**2 / p_+j``; columns symmetrically.
+    The squared distance is returned, matching the dist^2 convention of the
+    diagnostic tables.
+    """
+    index = _check_index(axis, index, model.shape)
+    return float(_raw_distances(model, CA, axis, slice(index, index + 1))[0])
+
+
+def taxicab_distance(model: CorrespondenceModel, axis: str, index: int) -> float:
+    """L1 distance of one profile from its barycenter.
+
+    Rows: ``sum_j |p_ij/p_i+ - p_+j|``; columns symmetrically.
+    """
+    index = _check_index(axis, index, model.shape)
+    return float(_raw_distances(model, TCA, axis, slice(index, index + 1))[0])
+
+
+def embedded_sq_distance(dec: FactorDecomposition, axis: str, index: int, d: int) -> float:
+    """Squared distance in the first ``d`` axes: ``sum_{alpha<=d} f_alpha**2``.
+
+    Non-decreasing in ``d``; never exceeds the squared chi-square distance,
+    with equality at ``d == rank``.
+    """
+    index = _check_index(axis, index, (len(dec.row_labels), len(dec.col_labels)))
+    if dec.method != CA:
+        raise ValueError("embedded_sq_distance requires a CA decomposition")
+    return float(_embedded_distances(dec, axis, d, [index])[0])
+
+
+def embedded_l1_distance(dec: FactorDecomposition, axis: str, index: int, d: int) -> float:
+    """L1 distance in the first ``d`` axes: ``sum_{alpha<=d} |f_alpha|``.
+
+    Non-decreasing in ``d``; at ``d = 1`` it never exceeds the taxicab
+    distance, while the full-rank sum never falls below it.
+    """
+    index = _check_index(axis, index, (len(dec.row_labels), len(dec.col_labels)))
+    if dec.method != TCA:
+        raise ValueError("embedded_l1_distance requires a TCA decomposition")
+    return float(_embedded_distances(dec, axis, d, [index])[0])
+
+
+def ca_total_inertia(model: CorrespondenceModel) -> float:
+    """Total inertia ``sum D**2 / outer(r, c)``.
+
+    Equals the r-weighted average of squared row distances, the c-weighted
+    average of squared column distances, and ``sum(deltas**2)`` of the full
+    decomposition.  Summed over row blocks, so no table-sized array is made.
+    """
+    total = 0.0
+    for b in _row_blocks(*model.shape):
+        terms = _residual(model.P[b], model.r[b], model.c)
+        terms **= 2
+        terms /= np.outer(model.r[b], model.c)
+        total += float(terms.sum())
+    return total
+
+
+def tca_total_dispersion(model: CorrespondenceModel) -> float:
+    """Total dispersion ``sum |D_ij|``.
+
+    Equals the r-weighted average of row taxicab distances and the c-weighted
+    average of column taxicab distances; it is the threshold the cumulative
+    principal values are compared against for intrinsic-dimension bounds.
+    Summed over row blocks, as `tsvd_step_iterative` sums ``|R|`` (so it
+    equals that step's first-axis ``sum|R|``), and no table-sized array is
+    made.
+    """
+    total = 0.0
+    for b in _row_blocks(*model.shape):
+        D = _residual(model.P[b], model.r[b], model.c)
+        total += float(np.abs(D, out=D).sum())
+        del D  # one block at a time: not held while the next is formed
+    return total
 
 
 def classify(
@@ -176,14 +344,8 @@ def distortion_report(
 
     labels = model.labels(axis)
     weights = model.weights(axis)
-    if dec.method == CA:
-        raw_of = _benzecri_distances
-        embedded_of = _embedded_sq_distances
-    else:
-        raw_of = _taxicab_distances
-        embedded_of = _embedded_l1_distances
-    raw = raw_of(model, axis)
-    embedded = np.column_stack([embedded_of(dec, axis, d) for d in dims])
+    raw = _raw_distances(model, dec.method, axis)
+    embedded = np.column_stack([_embedded_distances(dec, axis, d) for d in dims])
     classification = classify(raw[:, None], embedded, rel_tol)
     admissible = (raw > 0)[:, None] & (embedded > 0)
     constants = tuple(

@@ -25,6 +25,9 @@ start still moving.  Both solvers then apply one finalist rule to their candidat
 (surviving classes or distinct fixed points, in lexicographic order): keep
 those whose float64 bulk score is within ``1e-9 * sum|R|`` of the best,
 re-score them one by one as ``||R u||_1`` and take the first maximum.
+
+This module holds the two step solvers and `tca_decompose`; the taxicab
+distances and the total dispersion are in `catax.distortion`.
 """
 
 from __future__ import annotations
@@ -37,14 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import (
-    CorrespondenceModel,
-    _check_index,
-    _freeze,
-    _profile_distances,
-    _residual,
-    _row_blocks,
-)
+from .contingency import CorrespondenceModel, _freeze, _row_blocks
 from .decomposition import (
     TCA,
     FactorDecomposition,
@@ -58,9 +54,6 @@ __all__ = [
     "tsvd_step_exhaustive",
     "tsvd_step_iterative",
     "tca_decompose",
-    "taxicab_distance",
-    "tca_total_dispersion",
-    "embedded_l1_distance",
     "EXHAUSTIVE_LIMIT",
 ]
 
@@ -487,64 +480,3 @@ def tca_decompose(
         col_labels=model.col_labels,
         sign_vectors=tuple(pairs),
     )
-
-
-def _l1(deviations: np.ndarray, barycenter: np.ndarray) -> np.ndarray:
-    """Row-wise L1 norms of ``deviations``, which are overwritten."""
-    return np.abs(deviations, out=deviations).sum(axis=1)
-
-
-def _taxicab_distances(
-    model: CorrespondenceModel, axis: str, points: slice = slice(None)
-) -> np.ndarray:
-    """Taxicab distances of the selected profiles on ``axis``."""
-    return _profile_distances(model, axis, _l1, points)
-
-
-def taxicab_distance(model: CorrespondenceModel, axis: str, index: int) -> float:
-    """L1 distance of one profile from its barycenter.
-
-    Rows: ``sum_j |p_ij/p_i+ - p_+j|``; columns symmetrically.
-    """
-    index = _check_index(axis, index, model.shape)
-    return float(_taxicab_distances(model, axis, slice(index, index + 1))[0])
-
-
-def tca_total_dispersion(model: CorrespondenceModel) -> float:
-    """Total dispersion ``sum |D_ij|``.
-
-    Equals the r-weighted average of row taxicab distances and the c-weighted
-    average of column taxicab distances; it is the threshold the cumulative
-    principal values are compared against for intrinsic-dimension bounds.
-    Summed over row blocks, as `tsvd_step_iterative` sums ``|R|`` (so it
-    equals that step's first-axis ``sum|R|``), and no table-sized array is
-    made.
-    """
-    total = 0.0
-    for b in _row_blocks(*model.shape):
-        D = _residual(model.P[b], model.r[b], model.c)
-        total += float(np.abs(D, out=D).sum())
-        del D  # one block at a time: not held while the next is formed
-    return total
-
-
-def _embedded_l1_distances(
-    dec: FactorDecomposition, axis: str, d: int, points=slice(None)
-) -> np.ndarray:
-    """L1 distances of the selected points in the first ``d`` axes."""
-    if dec.method != TCA:
-        raise ValueError("embedded_l1_distance requires a TCA decomposition")
-    if not 1 <= d <= dec.k:
-        raise ValueError(f"d must be in [1, {dec.k}], got {d}")
-    # one row-wise sum per prefix; a cumsum over axes would round differently
-    return np.abs(dec.scores(axis)[points, :d]).sum(axis=1)
-
-
-def embedded_l1_distance(dec: FactorDecomposition, axis: str, index: int, d: int) -> float:
-    """L1 distance in the first ``d`` axes: ``sum_{alpha<=d} |f_alpha|``.
-
-    Non-decreasing in ``d``; at ``d = 1`` it never exceeds the taxicab
-    distance, while the full-rank sum never falls below it.
-    """
-    index = _check_index(axis, index, (len(dec.row_labels), len(dec.col_labels)))
-    return float(_embedded_l1_distances(dec, axis, d, [index])[0])

@@ -293,6 +293,14 @@ def test_negative_seed_exits_before_loading(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
+def test_repeated_map_axis_exits_before_loading(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(catax.cli, "load_table", lambda *args, **kwargs: calls.append(args))
+    assert main(["--input", write_csv(tmp_path, COUNTS), "--map-axes", "1,1"]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == "error: the two map axes must differ\n"
+
+
 def test_map_path_that_is_a_directory_exits_1(tmp_path, capsys):
     # the directory exists, so only writing the map fails
     assert main(["--input", write_csv(tmp_path, COUNTS), "--map", str(tmp_path)]) == 1
@@ -332,6 +340,7 @@ def test_absent_flags_take_config_defaults():
         {"method": "magic"},
         {"output_format": "xml"},
         {"seed": -1},
+        {"map_axes": (2, 2)},
     ],
 )
 def test_config_validation(kwargs):

@@ -477,6 +477,29 @@ def test_load_from_path(tmp_path):
     assert load_table(path).n == 4
 
 
+def test_quoted_line_breaks_kept_when_loaded_by_path(tmp_path):
+    # a file gives csv its line breaks unchanged, as a stream does: a quoted
+    # \r or \r\n stays in its label
+    text = 'A,"x\r1","y\r\n2"\r\n"r\r1",2,0\r\n"r\r\n2",0,2\r\n"r\n3",1,1\r\n'
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    by_path, by_stream = load_table(path), load_table(io.StringIO(text))
+    assert by_path.row_labels == by_stream.row_labels == ("r\r1", "r\r\n2", "r\n3")
+    assert by_path.col_labels == by_stream.col_labels == ("x\r1", "y\r\n2")
+    assert by_path.counts.tobytes() == by_stream.counts.tobytes()
+
+
+def test_crlf_plain_table_loaded_by_path_takes_fast_path(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"A,x,y\r\nr1,2,0\r\nr2,0,3\r\n")
+    calls = []
+    monkeypatch.setattr(catax.contingency, "_read_rows", lambda *args: calls.append(args))
+    table = load_table(path)
+    assert calls == []
+    assert table.row_labels == ("r1", "r2")
+    np.testing.assert_array_equal(table.counts, [[2, 0], [0, 3]])
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_table(tmp_path / "absent.csv")

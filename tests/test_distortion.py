@@ -1,8 +1,13 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import catax
 import catax.contingency
 from catax import (
     COLS,
@@ -28,6 +33,7 @@ from catax import (
     tca_decompose,
     tca_total_dispersion,
 )
+from catax.contingency import _row_blocks
 from conftest import random_models, table_from_counts
 
 
@@ -150,6 +156,33 @@ def test_raw_distances_independent_of_blocks(monkeypatch, models30, block_elemen
                 raw = distortion_report(model, dec, axis, [1]).raw
                 n = len(model.labels(axis))
                 assert raw.tolist() == [_expected_raw(model, method, axis, i) for i in range(n)]
+
+
+def test_totals_are_block_sums_of_the_whole_table_expressions(models30):
+    # the JSON prints the total dispersion: each total is, bit for bit, the
+    # sum over _row_blocks of the blocks of its whole-table expression
+    wide = build_model(table_from_counts(np.random.default_rng(3).integers(0, 4, (40, 10000))))
+    assert len(list(_row_blocks(*wide.shape))) > 1
+    for model in models30 + [wide]:
+        blocks = list(_row_blocks(*model.shape))
+        D = model.D
+        terms = D**2 / np.outer(model.r, model.c)
+        assert ca_total_inertia(model) == sum(float(terms[b].sum()) for b in blocks)
+        A = np.abs(D)
+        assert tca_total_dispersion(model) == sum(float(A[b].sum()) for b in blocks)
+
+
+@pytest.mark.parametrize(
+    "name", [m.name for m in pkgutil.iter_modules(catax.__path__) if not m.name.startswith("_")]
+)
+def test_submodule_all_names_are_defined_there(name):
+    # a name moved to another module must leave this module's __all__ too
+    module = importlib.import_module(f"catax.{name}")
+    for attr in module.__all__:
+        assert hasattr(module, attr), attr
+        value = getattr(module, attr)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == module.__name__, attr
 
 
 def test_report_classification_columns(models30):
