@@ -17,13 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .contingency import CorrespondenceModel
-from .decomposition import (
-    CA,
-    FactorDecomposition,
-    numerical_rank,
-    orient_axes,
-    resolve_k,
-)
+from .decomposition import CA, FactorDecomposition, assemble, numerical_rank, resolve_k
 
 __all__ = ["ca_decompose"]
 
@@ -64,13 +58,4 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
         np.divide(D @ x, long_w[:, None], out=long_scores)
     short_scores = s * x
     row_scores, col_scores = (short_scores, long_scores) if wide else (long_scores, short_scores)
-    orient_axes(row_scores, col_scores)
-    return FactorDecomposition(
-        method=CA,
-        deltas=s.copy(),
-        row_scores=row_scores,
-        col_scores=col_scores,
-        rank=rank,
-        row_labels=model.row_labels,
-        col_labels=model.col_labels,
-    )
+    return assemble(CA, model, rank, s.copy(), row_scores, col_scores)

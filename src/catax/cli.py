@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -78,8 +79,8 @@ class AnalysisConfig:
             raise ValueError("restarts must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.rel_tol <= 0:
-            raise ValueError("rel-tol must be > 0")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError("rel-tol must be a finite number > 0")
         axes = tuple(int(a) for a in self.map_axes)
         if len(axes) != 2 or min(axes) < 1:
             raise ValueError("map-axes must be two positive axis numbers")

@@ -1,4 +1,8 @@
-"""Factor decomposition container shared by the CA and TCA engines."""
+"""Factor decomposition container shared by the CA and TCA engines.
+
+Both engines end in `assemble`, the one place that orients the axes (largest-|f|
+row score positive) and attaches the model's labels and numerical rank.
+"""
 
 from __future__ import annotations
 
@@ -123,16 +127,22 @@ def resolve_k(k: int | str | None, rank: int) -> int:
     return k
 
 
-def orient_axes(
+def assemble(
+    method: str,
+    model: CorrespondenceModel,
+    rank: int,
+    deltas: np.ndarray,
     row_scores: np.ndarray,
     col_scores: np.ndarray,
     sign_vectors: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> None:
-    """Flip each axis in place so its largest-|f| row score is positive.
+) -> FactorDecomposition:
+    """The decomposition of ``model`` with these axes, each oriented.
 
-    Factorization signs are otherwise arbitrary; a fixed convention makes
-    outputs reproducible.  Sign vectors, when given, are flipped jointly so
-    score/sign consistency is preserved.
+    Each axis is first flipped in place so its largest-|f| row score is
+    positive: factorization signs are otherwise arbitrary, and a fixed
+    convention makes outputs reproducible and lets CA and TCA axes be
+    compared point by point.  Sign vectors, when given, are flipped jointly
+    so score/sign consistency is preserved.
     """
     for alpha in range(row_scores.shape[1]):
         f = row_scores[:, alpha]
@@ -142,3 +152,13 @@ def orient_axes(
             if sign_vectors is not None:
                 u, v = sign_vectors[alpha]
                 sign_vectors[alpha] = (-u, -v)
+    return FactorDecomposition(
+        method=method,
+        deltas=deltas,
+        row_scores=row_scores,
+        col_scores=col_scores,
+        rank=rank,
+        row_labels=model.row_labels,
+        col_labels=model.col_labels,
+        sign_vectors=None if sign_vectors is None else tuple(sign_vectors),
+    )

@@ -225,7 +225,15 @@ def classify(
 
     Arguments broadcast against each other: two scalars give one label
     (a ``str``), arrays give an ndarray of labels.
+
+    Raises
+    ------
+    ValueError
+        A negative distance, or a negative or NaN ``rel_tol`` (NaN would
+        compare false everywhere and leave no isometry).
     """
+    if not rel_tol >= 0:  # also NaN
+        raise ValueError("rel_tol must be nonnegative")
     raw = np.asarray(raw, dtype=float)
     embedded = np.asarray(embedded, dtype=float)
     if np.any(raw < 0) or np.any(embedded < 0):

@@ -9,6 +9,7 @@ same decomposition always yields byte-identical files.
 from __future__ import annotations
 
 import os
+import re
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -20,6 +21,16 @@ __all__ = ["emit_map"]
 _WIDTH = 720
 _HEIGHT = 720
 _MARGIN = 70
+
+# Code points outside XML 1.0's Char production (section 2.2).  No escape can
+# write them, and csv keeps some of them (form feed, NUL) as label data.
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _label(text: str) -> str:
+    """``text`` escaped as XML character data, each code point XML forbids
+    replaced by U+FFFD."""
+    return escape(_NOT_XML_CHAR.sub("\ufffd", text))
 
 
 def _scale(lo: float, hi: float, size: int) -> tuple[float, float]:
@@ -97,7 +108,7 @@ def emit_map(
         x, y = px(float(fx[i])), py(float(fy[i]))
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="#1f4e9c"/>')
         parts.append(
-            f'<text x="{x + 5:.2f}" y="{y - 5:.2f}" fill="#1f4e9c">{escape(label)}</text>'
+            f'<text x="{x + 5:.2f}" y="{y - 5:.2f}" fill="#1f4e9c">{_label(label)}</text>'
         )
     for j, label in enumerate(dec.col_labels):
         x, y = px(float(gx[j])), py(float(gy[j]))
@@ -106,7 +117,7 @@ def emit_map(
             'fill="none" stroke="#b03a2e" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" fill="#b03a2e">{escape(label)}</text>'
+            f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" fill="#b03a2e">{_label(label)}</text>'
         )
     parts.append("</g>")
     parts.append("</svg>")

@@ -41,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contingency import CorrespondenceModel, _freeze, _row_blocks
-from .decomposition import (
-    TCA,
-    FactorDecomposition,
-    numerical_rank,
-    orient_axes,
-    resolve_k,
-)
+from .decomposition import TCA, FactorDecomposition, assemble, numerical_rank, resolve_k
 
 __all__ = [
     "TsvdStepResult",
@@ -112,6 +106,12 @@ class TsvdStepResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "u", _freeze(self.u))
         object.__setattr__(self, "v", _freeze(self.v))
+
+
+def _step_result(R: np.ndarray, u: np.ndarray, certified: bool) -> TsvdStepResult:
+    """The step of residual ``R`` at ``u``: ``v = sign(R u)``, ``delta = ||R u||_1``."""
+    Ru = R @ u
+    return TsvdStepResult(u=u, v=_sign(Ru), delta=float(np.abs(Ru).sum()), certified=certified)
 
 
 def _signs(codes: np.ndarray, m: int) -> np.ndarray:
@@ -283,10 +283,7 @@ def tsvd_step_exhaustive(residual: np.ndarray) -> TsvdStepResult:
     else:
         v = _enumerate_max(R.T)
         u = _sign(R.T @ v)
-    Ru = R @ u
-    return TsvdStepResult(
-        u=u, v=_sign(Ru), delta=float(np.abs(Ru).sum()), certified=True
-    )
+    return _step_result(R, u, certified=True)
 
 
 def _criss_cross(R: np.ndarray, U: np.ndarray, tol: float) -> np.ndarray:
@@ -366,7 +363,11 @@ def tsvd_step_iterative(
     R = np.asarray(residual, dtype=float)
     I, J = R.shape
     # summed in row blocks, so no temporary the size of the residual is made
-    total = sum(float(np.abs(R[b]).sum()) for b in _row_blocks(I, J))
+    # and added in order, as tca_total_dispersion adds them: sum() of floats
+    # is compensated from Python 3.12 on
+    total = 0.0
+    for b in _row_blocks(I, J):
+        total += float(np.abs(R[b]).sum())
     starts = _start_signs(R, min(10, I, J)) if total > 0 else np.empty((0, J))
     rng = np.random.default_rng(seed)
     U = np.vstack((starts, rng.integers(0, 2, size=(restarts, J)) * 2.0 - 1.0)).T
@@ -380,10 +381,7 @@ def tsvd_step_iterative(
     bits = np.packbits(U[:, near] > 0, axis=0).T
     points = near[np.unique(bits, axis=0, return_index=True)[1]]  # distinct, sorted
     u = _first_max(R, U[:, points[_finalists(obj[points], tol)]].T)
-    Ru = R @ u
-    return TsvdStepResult(
-        u=u, v=_sign(Ru), delta=float(np.abs(Ru).sum()), certified=False
-    )
+    return _step_result(R, u, certified=False)
 
 
 def tca_decompose(
@@ -409,8 +407,9 @@ def tca_decompose(
     Raises
     ------
     ValueError
-        ``k`` above the numerical rank, unknown strategy, or "exhaustive"
-        forced on a table above the enumeration limit.
+        ``k`` above the numerical rank, unknown strategy, ``restarts < 1``
+        (whatever the strategy), or "exhaustive" forced on a table above the
+        enumeration limit.
 
     Warns
     -----
@@ -430,6 +429,8 @@ def tca_decompose(
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if restarts < 1:  # also when no iterative step runs
+        raise ValueError("restarts must be >= 1")
     rank = numerical_rank(model)
     k = resolve_k(k, rank)
 
@@ -469,14 +470,4 @@ def tca_decompose(
 
     n = len(pairs)  # axes extracted: k, or fewer when the residual ran out
     row_scores, col_scores = row_scores[:, :n], col_scores[:, :n]
-    orient_axes(row_scores, col_scores, pairs)
-    return FactorDecomposition(
-        method=TCA,
-        deltas=deltas[:n],
-        row_scores=row_scores,
-        col_scores=col_scores,
-        rank=rank,
-        row_labels=model.row_labels,
-        col_labels=model.col_labels,
-        sign_vectors=tuple(pairs),
-    )
+    return assemble(TCA, model, rank, deltas[:n], row_scores, col_scores, pairs)

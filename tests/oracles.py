@@ -152,3 +152,24 @@ def inertia_loop(model) -> float:
 def dispersion_loop(model) -> float:
     I, J = model.P.shape
     return sum(abs(model.P[i, j] - model.r[i] * model.c[j]) for i in range(I) for j in range(J))
+
+
+def block_sum(values) -> float:
+    """Floats added one by one, left to right, as the library adds its block
+    totals.  ``sum()`` of floats is compensated from Python 3.12 on, so it can
+    differ in the last bit."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def compensated_sum(values) -> float:
+    """Neumaier's compensated sum, the algorithm of ``sum()`` of floats from
+    CPython 3.12 on."""
+    total = comp = 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp

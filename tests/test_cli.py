@@ -301,6 +301,16 @@ def test_repeated_map_axis_exits_before_loading(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: the two map axes must differ\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_rel_tol_exits_before_loading(tmp_path, capsys, monkeypatch, value):
+    # NaN would classify every point as a contraction or a stretching
+    calls = []
+    monkeypatch.setattr(catax.cli, "load_table", lambda *args, **kwargs: calls.append(args))
+    assert main(["--input", write_csv(tmp_path, COUNTS), "--rel-tol", value]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == "error: rel-tol must be a finite number > 0\n"
+
+
 def test_map_path_that_is_a_directory_exits_1(tmp_path, capsys):
     # the directory exists, so only writing the map fails
     assert main(["--input", write_csv(tmp_path, COUNTS), "--map", str(tmp_path)]) == 1
@@ -341,6 +351,8 @@ def test_absent_flags_take_config_defaults():
         {"output_format": "xml"},
         {"seed": -1},
         {"map_axes": (2, 2)},
+        {"rel_tol": float("nan")},
+        {"rel_tol": float("inf")},
     ],
 )
 def test_config_validation(kwargs):

@@ -35,6 +35,7 @@ from catax import (
 )
 from catax.contingency import _row_blocks
 from conftest import random_models, table_from_counts
+from oracles import block_sum
 
 
 def test_classify_published_pairs():
@@ -51,6 +52,15 @@ def test_classify_tolerance_band():
     assert classify(1.0, 1.0 + 5e-10) == ISOMETRY
     assert classify(1.0, 1.0 + 5e-10, rel_tol=1e-12) == STRETCHING
     assert classify(1.0, 1.0 - 5e-10, rel_tol=1e-12) == CONTRACTION
+
+
+def test_classify_rel_tol_nan_or_negative_rejected():
+    # NaN compares false everywhere: every point would be a contraction or a
+    # stretching, even at d = rank, where CA is an isometry
+    for rel_tol in (float("nan"), -1e-9):
+        with pytest.raises(ValueError, match="rel_tol"):
+            classify(1.0, 1.0, rel_tol=rel_tol)
+    assert classify(1.0, 1.0, rel_tol=0.0) == ISOMETRY
 
 
 def test_classify_negative_rejected():
@@ -167,9 +177,9 @@ def test_totals_are_block_sums_of_the_whole_table_expressions(models30):
         blocks = list(_row_blocks(*model.shape))
         D = model.D
         terms = D**2 / np.outer(model.r, model.c)
-        assert ca_total_inertia(model) == sum(float(terms[b].sum()) for b in blocks)
+        assert ca_total_inertia(model) == block_sum(float(terms[b].sum()) for b in blocks)
         A = np.abs(D)
-        assert tca_total_dispersion(model) == sum(float(A[b].sum()) for b in blocks)
+        assert tca_total_dispersion(model) == block_sum(float(A[b].sum()) for b in blocks)
 
 
 @pytest.mark.parametrize(

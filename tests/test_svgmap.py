@@ -1,5 +1,7 @@
 """SVG factor maps: structure, labels, determinism, axis validation."""
 
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,18 @@ def test_labels_are_escaped():
     assert "x&amp;y" in svg
     assert ">a<b<" not in svg
     assert ">x&y<" not in svg
+
+
+def test_labels_with_characters_xml_forbids_stay_well_formed():
+    # csv keeps a form feed (and NUL) as label data; escaping leaves them in
+    table = ContingencyTable(
+        ("r\x001", "r\x0c2", "r3"),
+        ("c\x1f1", "c\ufffe2", "c\ud8003"),
+        np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 2.0], [0.0, 2.0, 5.0]]),
+    )
+    for dec in (ca_decompose(build_model(table)), tca_decompose(build_model(table))):
+        svg = emit_map(dec)
+        root = ElementTree.fromstring(svg)
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        for label in ("r\ufffd1", "r\ufffd2", "r3", "c\ufffd1", "c\ufffd2", "c\ufffd3"):
+            assert label in texts

@@ -20,8 +20,10 @@ from catax import (
 from catax.contingency import _row_blocks
 from conftest import random_counts, random_models, table_from_counts
 from oracles import (
+    block_sum,
     brute_argmax,
     brute_delta1,
+    compensated_sum,
     criss_cross,
     dispersion_loop,
     exact_residual,
@@ -793,13 +795,44 @@ def test_total_dispersion_is_the_iterative_first_axis_sum(models30, monkeypatch)
     for model in models30[:10] + [wide]:
         T = tca_total_dispersion(model)
         D = model.D
-        assert T == sum(float(np.abs(D[b]).sum()) for b in _row_blocks(*D.shape))
+        assert T == block_sum(float(np.abs(D[b]).sum()) for b in _row_blocks(*D.shape))
         if D.size <= 1 << 17:
             assert T == float(np.abs(D).sum())
         assert T == pytest.approx(float(np.abs(D).sum()), rel=1e-14)
         windows.clear()
         tca_decompose(model, k=1, strategy="iterative", restarts=1)
         assert windows == [catax.tca._SHORTLIST_RTOL * T]
+
+
+def test_iterative_window_does_not_depend_on_the_sum_builtin(monkeypatch):
+    # sum() of floats is compensated from Python 3.12 on; the step adds its
+    # block totals in order, as tca_total_dispersion does, on every version
+    windows = []
+
+    def spy(R, U, tol, _real=catax.tca._criss_cross):
+        windows.append(tol)
+        return _real(R, U, tol)
+
+    monkeypatch.setattr(catax.tca, "_criss_cross", spy)
+    monkeypatch.setattr(catax.tca, "sum", compensated_sum, raising=False)
+    counts = np.random.default_rng(1).poisson(0.5, size=(200, 3000)).astype(float)
+    counts[:, 0] += 1  # no empty row
+    counts[0] += 1  # no empty column
+    model = build_model(table_from_counts(counts))
+    D = model.D
+    blocks = [float(np.abs(D[b]).sum()) for b in _row_blocks(*D.shape)]
+    assert compensated_sum(blocks) != block_sum(blocks)  # the case that tells them apart
+    tca_decompose(model, k=1, strategy="iterative", restarts=1)
+    assert windows == [catax.tca._SHORTLIST_RTOL * tca_total_dispersion(model)]
+
+
+@pytest.mark.parametrize("restarts", [0, -5])
+@pytest.mark.parametrize("kwargs", [{}, {"strategy": "exhaustive"}, {"k": 0}])
+def test_restarts_checked_whatever_the_strategy(restarts, kwargs):
+    # no iterative step runs on this table, yet the bad value is not ignored
+    model = build_model(table_from_counts([[5, 1, 2], [1, 6, 2], [2, 2, 7]]))
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        tca_decompose(model, restarts=restarts, **kwargs)
 
 
 def test_embedded_l1_monotone_and_bounded(models30):
