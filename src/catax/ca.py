@@ -4,9 +4,16 @@ With ``S = D / sqrt(outer(r, c))`` and ``S = U diag(sigma) V^T``, the factor
 scores are ``f_alpha(i) = sigma_alpha u_alpha(i) / sqrt(r_i)`` and
 ``g_alpha(j) = sigma_alpha v_alpha(j) / sqrt(c_j)``; the principal values
 ``delta_alpha = sigma_alpha`` satisfy ``sum(delta**2) == total inertia``.
-The SVD is the model's one cached R-SVD, which holds ``sigma`` and the
-singular vectors of the shorter side only; the other side's scores come from
-the transition formulas ``f = D (g / delta) / r`` and ``g = D^T (f / delta) / c``.
+The SVD is the model's one cached factorization, which holds ``sigma`` and
+the singular vectors of the shorter side only; the other side's scores come
+from the transition formulas ``f = D (g / delta) / r`` and
+``g = D^T (f / delta) / c``.  The factorization is one ``eigh`` of the
+shorter side's Gram matrix wherever a bound on its rounding proves the rank
+and the smallest non-trivial value is at least ``2^-6`` of the largest, so
+its values and vectors are as accurate as an SVD's to the tests' tolerance;
+near-independent and ill-conditioned tables take an R-SVD, a blocked QR of
+the long orientation of ``S`` and the SVD of its triangular factor (see
+``CorrespondenceModel._short_svd``).
 
 This module holds `ca_decompose` only; the chi-square distances and the
 total inertia are in `catax.distortion`.
@@ -40,10 +47,10 @@ def ca_decompose(model: CorrespondenceModel, k: int | str | None = "full") -> Fa
     Notes
     -----
     Makes no factorization of its own: the principal values and the
-    shorter side's singular vectors come from the model's cached R-SVD (the
-    one :func:`numerical_rank` reads), and only the ``k`` long-side score
-    columns are formed, by one product with ``D``, which is formed once,
-    and not at all when ``k == 0``.
+    shorter side's singular vectors come from the model's cached
+    factorization (the one :func:`numerical_rank` reads), and only the
+    ``k`` long-side score columns are formed, by one product with ``D``,
+    which is formed once, and not at all when ``k == 0``.
     """
     rank = numerical_rank(model)
     k = resolve_k(k, rank)

@@ -49,10 +49,21 @@ _DELIMITERS = (",", ";", "\t")
 # of rows at a time, so no temporary the size of the table is made.
 _BLOCK_ELEMENTS = 1 << 17
 
-# Lines of the long orientation of ``S`` per step of the blocked QR in
-# `CorrespondenceModel._short_svd`; a table whose long side fits in one block
-# makes a single QR, as an unblocked R-SVD would.
+# Lines of the long orientation of ``S`` per block of the Gram matrix and per
+# step of the blocked QR in `CorrespondenceModel._short_svd`; a table whose
+# long side fits in one block makes a single QR, as an unblocked R-SVD would.
 _QR_BLOCK_LINES = 2048
+
+# Singular values of ``S`` at or below this multiple of the largest count as
+# zero in the numerical rank (`catax.decomposition.numerical_rank`).
+RANK_RTOL = 1e-12
+
+# The Gram matrix's values are used only when its smallest non-trivial
+# singular value is at least this multiple of the largest (2^-6, squared for
+# eigenvalues): its eigenvalue errors of about u * sigma_1^2 then cost the
+# singular values and vectors at most 2^5 u relative to sigma_1 and to the
+# gap, within the 1e-14 to which the tests pin them against a full SVD.
+_GRAM_MIN_RATIO = 2.0**-12
 
 # csv ends a record at \r\n, \n or \r, and keeps every other character,
 # \x0c and \u2028 among them, as data.
@@ -250,17 +261,24 @@ class CorrespondenceModel:
 
     @cached_property
     def _short_svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """Singular values and short-side singular vectors of ``S``, by R-SVD.
+        """Singular values and short-side singular vectors of ``S``.
 
         ``S`` is :func:`standardized_residual`; ``L`` is its long orientation,
-        ``S`` itself when ``I >= J`` and ``S^T`` otherwise.  The R-SVD (Chan,
-        ACM TOMS 8(1), 1982; Golub & Van Loan, Matrix Computations, 4th ed.,
-        section 8.6) takes the triangular factor of ``L = Q R`` and the SVD
-        ``R = A diag(s) B^T`` of that ``m x m`` matrix, ``m = min(I, J)``;
-        then ``L = (Q A) diag(s) B^T``, so ``s`` and ``B`` are the singular
-        values and right singular vectors of ``L``: the right vectors of
-        ``S`` when ``I >= J``, its left vectors otherwise.  Returned as
-        ``(s, B)``, columns of ``B`` in the order of ``s``.
+        ``S`` itself when ``I >= J`` and ``S^T`` otherwise, ``n x m`` with
+        ``m = min(I, J)``.  Returned as ``(s, B)``: the ``m`` singular values
+        of ``L``, non-increasing, and its right singular vectors, the columns
+        of ``B`` in the order of ``s`` (the right vectors of ``S`` when
+        ``I >= J``, its left vectors otherwise).
+
+        The values come from the Gram matrix ``L^T L`` (`_gram_svd`) when it
+        proves that every non-trivial singular value lies above the rank
+        floor ``RANK_RTOL * sigma_1`` and that the trivial one lies below
+        it, and when its values are accurate to the tests' tolerance.
+        Otherwise, on near-independent and ill-conditioned tables, they come
+        from an R-SVD (Chan, ACM TOMS 8(1), 1982; Golub & Van Loan, Matrix
+        Computations, 4th ed., section 8.6): the triangular factor of
+        ``L = Q R``, then the SVD ``R = A diag(s) B^T`` of that ``m x m``
+        matrix, so that ``L = (Q A) diag(s) B^T``.
 
         ``R`` comes from a sequential tall-skinny QR (TSQR; Demmel, Grigori,
         Hoemmen & Langou, SIAM J. Sci. Comput. 34(1), 2012), so ``S`` is
@@ -271,16 +289,17 @@ class CorrespondenceModel:
         ``R <- qr([R; L_b])``.  Only the last block can have fewer than ``m``
         lines, and it sits under an ``R``, so every ``R`` is ``m x m``.  A
         table whose long side fits in one block makes a single QR of ``L``.
+        QR then SVD is backward stable, and so is the blocked QR, so a
+        singular value near the rank floor is still resolved, where the
+        Gram matrix, which squares the condition number, cannot tell it.
 
         Computed once per model and kept.  Only ``m x m`` is kept, never ``Q``
-        or the long-side vectors, which are the size of ``P``.  QR then SVD
-        is backward stable, and so is the blocked QR, so a singular value
-        near the ``1e-12`` rank floor is still resolved; the SVD of a Gram
-        matrix ``L^T L`` would square the condition number and lose it.
+        or the long-side vectors, which are the size of ``P``.
         """
-        I, J = self.shape
-        wide = I < J
-        n, m = (J, I) if wide else (I, J)
+        gram = _gram_svd(self)
+        if gram is not None:
+            return gram
+        n, m = max(self.shape), min(self.shape)
         block = max(_QR_BLOCK_LINES, m)
         W = np.empty((n if n <= block else m + block, m), order="F")
         R = np.empty((0, m))
@@ -288,14 +307,113 @@ class CorrespondenceModel:
             stop = min(start + block, n)
             top = R.shape[0]
             W[:top] = R
-            L = W[top : top + stop - start]
-            if wide:
-                _standardize(self.P[:, start:stop], self.r, self.c[start:stop], L.T)
-            else:
-                _standardize(self.P[start:stop], self.r[start:stop], self.c, L)
+            _long_lines(self, start, stop, W[top : top + stop - start])
             R = np.linalg.qr(W[: top + stop - start], mode="r")
         _, s, Bt = np.linalg.svd(R)
         return _freeze(s), _freeze(Bt.T)
+
+
+def _long_lines(model: CorrespondenceModel, start: int, stop: int, out: np.ndarray) -> None:
+    """Write lines ``start:stop`` of the long orientation of ``S`` into ``out``.
+
+    The long orientation is ``S`` when ``I >= J`` and ``S^T`` otherwise;
+    ``out`` is ``(stop - start) x min(I, J)``.  Formed from ``P`` by
+    `_standardize`, so the lines equal those of :func:`standardized_residual`
+    bit for bit.
+    """
+    if model.shape[0] < model.shape[1]:
+        _standardize(model.P[:, start:stop], model.r, model.c[start:stop], out.T)
+    else:
+        _standardize(model.P[start:stop], model.r[start:stop], model.c, out)
+
+
+def _gram_svd(model: CorrespondenceModel) -> tuple[np.ndarray, np.ndarray] | None:
+    """``CorrespondenceModel._short_svd`` from the Gram matrix, or None.
+
+    ``L`` (``n x m``, the long orientation of ``S``) has the known null
+    direction ``w``, the unit vector along ``sqrt(r)`` when ``I < J`` and
+    along ``sqrt(c)`` otherwise, since ``D`` is doubly centred.  The Gram
+    matrix ``G = L^T L`` is summed over blocks of ``_QR_BLOCK_LINES`` lines,
+    each formed by `_long_lines` in one reused buffer and added as one
+    symmetric rank-k product, and the same pass sums ``t = ||L w||_2``,
+    the rounding left in the null direction.  ``w`` is then projected out,
+    ``G <- (I - w w^T) G (I - w w^T)``, by two rank-one updates, and one
+    ``eigh`` gives the eigenvalues ``lam_0 <= ... <= lam_{m-1}``.  The
+    result is ``sqrt(lam_{m-1}), ..., sqrt(lam_1), t`` with their
+    eigenvectors and ``w``.
+
+    Every rounding is bounded in ``eta = gamma_{2n + 8m + 64} trace(G)``,
+    with Higham's ``gamma_k = k u / (1 - k u)`` and ``u = 2^-53``:
+
+    - the product, ``|fl(L^T L) - L^T L| <= gamma_n |L|^T |L|`` entrywise
+      for any order of summation (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., section 3.5, (3.13)), hence at most
+      ``gamma_n ||L||_F^2`` in the 2-norm.  The computed trace is a sum of
+      non-negative terms, at least ``(1 - gamma_{n+m}) ||L||_F^2``, so
+      ``gamma_{2n} trace(G)`` bounds it;
+    - the projection: ``G w``, ``w^T G w`` and the two rank-one updates
+      round each entry by at most ``gamma_{m+4}`` times sums of absolute
+      values whose Frobenius norm is at most ``3 ||G||_F <= 3 trace(G)``
+      (``G`` is positive semidefinite), and the computed ``w`` is a unit
+      vector to within ``gamma_{m+2}``, which moves the projector by twice
+      that; ``gamma_{6m+32} trace(G)`` covers both;
+    - ``eigh``'s backward error, ``p(m) u ||G||_2`` with LAPACK's
+      unspecified modest ``p`` (LAPACK Users' Guide, 3rd ed., section
+      4.7.1) taken as ``2m``, and ``||G||_2 <= trace(G)``.
+
+    By Weyl's inequality each computed eigenvalue is then within ``eta`` of
+    the exact one of ``P L^T L P``, ``P = I - w w^T``, whose eigenvalues are
+    0 (along ``w``) and the ``m - 1`` eigenvalues of ``L^T L`` compressed to
+    the complement of ``w``, which interlace ``sigma_1^2 >= mu_1 >=
+    sigma_2^2 >= ... >= mu_{m-1} >= sigma_m^2``.  So ``sigma_{m-1}^2 >=
+    lam_1 - eta``.  The result is used only when
+
+    (a) ``lam_1 >= eta + RANK_RTOL^2 (lam_{m-1} + eta)``: every non-trivial
+        singular value of ``L`` lies above the rank floor, by proof;
+    (b) ``|lam_0| <= eta``: the projected direction is the smallest, as (a)
+        and the bound imply, so this checks the bound itself;
+    (c) ``t <= RANK_RTOL sigma_1``: the trivial value, which bounds
+        ``sigma_m`` from above, lies at or below the floor, which a
+        near-independent table with large cells breaks;
+    (d) ``lam_1 >= _GRAM_MIN_RATIO lam_{m-1}``: the values and vectors are
+        as accurate as the R-SVD's to the tests' tolerance.
+
+    Otherwise None is returned and the caller takes the blocked TSQR.
+    """
+    I, J = model.shape
+    n, m = max(I, J), min(I, J)
+    w = np.sqrt(model.r if I < J else model.c)
+    w /= np.linalg.norm(w)
+    block = min(n, _QR_BLOCK_LINES)
+    # X^T is C-ordered like the block of S that `_standardize` writes
+    buffer = np.empty((block, m), order="F" if I < J else "C")
+    G = np.zeros((m, m))
+    t_sq = 0.0
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        X = buffer[: stop - start]
+        _long_lines(model, start, stop, X)
+        G += X.T @ X
+        Xw = X @ w
+        t_sq += Xw @ Xw
+    trace = np.trace(G)
+    h = G @ w
+    h -= (0.5 * (w @ h)) * w
+    G -= np.outer(w, h)
+    G -= np.outer(h, w)
+    lam, vectors = np.linalg.eigh(G)
+    k = (2 * n + 8 * m + 64) * 2.0**-53
+    eta = k / (1 - k) * trace  # gamma_{2n+8m+64} trace(G), u = 2^-53
+    top = lam[-1]
+    if not (
+        lam[1] >= eta + RANK_RTOL**2 * (top + eta)
+        and abs(lam[0]) <= eta
+        and t_sq <= RANK_RTOL**2 * top
+        and lam[1] >= _GRAM_MIN_RATIO * top
+    ):
+        return None  # also when a value is NaN
+    s = np.append(np.sqrt(lam[:0:-1]), np.sqrt(t_sq))
+    return _freeze(s), _freeze(np.column_stack((vectors[:, :0:-1], w)))
 
 
 def standardized_residual(model: CorrespondenceModel) -> np.ndarray:
@@ -430,14 +548,15 @@ def _read_plain(text: str, delimiter: str) -> tuple[list[str], list[str], np.nda
     The lines are split by `str.splitlines` (`_lines`).  The header is read
     from them by csv, as `_read_rows` reads it.  Each later line that is not
     blank is a data row.  Its label is the text before the first delimiter,
-    stripped, and the rest of all data rows is parsed by one
-    `numpy.loadtxt` call, in C.  That call reads int64 when no data cell
-    holds a ``-`` or a non-ASCII character: int64 would read ``-0`` as
-    ``+0``, and numpy's int64 parser takes some non-ASCII characters for
-    digits (numpy 2.4 even crashes on some).  An int64 parse that fails,
-    overflows or warns (numpy 1.23 warns where it would read through a
-    float) is replaced by a float64 one.  None, which leaves the text to
-    `_read_rows`, is returned when
+    stripped, and the rest of the data rows is parsed by `numpy.loadtxt`,
+    in C, one call per 1 MB block of rows, each block written into its rows
+    of one float64 array that owns its memory.  The calls read int64 when no
+    data cell holds a ``-`` or a non-ASCII character: int64 would read
+    ``-0`` as ``+0``, and numpy's int64 parser takes some non-ASCII
+    characters for digits (numpy 2.4 even crashes on some).  An int64 parse
+    that fails, overflows or warns (numpy 1.23 warns where it would read
+    through a float) is dropped and replaced by a float64 one.  None, which
+    leaves the text to `_read_rows`, is returned when
 
     - the delimiter is not one of ``_DELIMITERS``;
     - the text holds a line break of `str.splitlines` that csv keeps as data
@@ -450,7 +569,7 @@ def _read_plain(text: str, delimiter: str) -> tuple[list[str], list[str], np.nda
     - loadtxt cannot parse the cells as float64: a line has not as many
       cells as the first, or a cell is not a number to loadtxt (it rejects
       ``1_000`` and non-ASCII digits, which ``float()`` reads);
-    - loadtxt's result has not one row per data line;
+    - loadtxt's result for a block has not one row per data line;
     - a count is not finite, or negative.
 
     loadtxt reads every other cell as ``float()`` does, and an int64 goes to
@@ -468,7 +587,7 @@ def _read_plain(text: str, delimiter: str) -> tuple[list[str], list[str], np.nda
         if first is None:  # also when there is no header
             raise _Decline
         col_labels = _column_labels(header, first.count(delimiter) + 1)
-        if col_labels is None:
+        if not col_labels:  # also when the first data line has no delimiter
             raise _Decline
         row_labels: list[str] = []
 
@@ -490,23 +609,36 @@ def _read_plain(text: str, delimiter: str) -> tuple[list[str], list[str], np.nda
                 row_labels.append(label.strip())
                 yield rest
 
-        counts = np.loadtxt(cells(), delimiter=delimiter, comments=None, dtype=dtype, ndmin=2)
-        return row_labels, col_labels, counts
+        # Each block of rows is parsed by its own loadtxt call and converted
+        # into one float64 array with a row per line after the header, so an
+        # int64 parse and a float64 copy of it are never held whole at once.
+        width = len(col_labels)
+        counts = np.empty((lines_after_header, width))
+        rows = cells()
+        done = 0
+        while block := list(itertools.islice(rows, max(1, _BLOCK_ELEMENTS // width))):
+            parsed = np.loadtxt(block, delimiter=delimiter, comments=None, dtype=dtype, ndmin=2)
+            if parsed.shape != (len(block), width):  # another number of cells
+                raise _Decline
+            counts[done : done + len(block)] = parsed
+            done += len(block)
+        return row_labels, col_labels, counts if done == len(counts) else counts[:done]
 
+    lines_after_header = (
+        text.count("\n") + text.count("\r") - text.count("\r\n") - (text[-1] in "\r\n")
+    )
     try:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DeprecationWarning)
-                row_labels, col_labels, counts = parse(np.int64)
+                result = parse(np.int64)
         except (ValueError, OverflowError, DeprecationWarning):
-            row_labels, col_labels, counts = parse(np.float64)
+            result = None  # parsed as float64 below, once this parse is freed
+        row_labels, col_labels, counts = result or parse(np.float64)
     except (_Decline, ValueError):
         return None
-    counts = counts.astype(np.float64, copy=False)
-    # loadtxt skips a blank line; the comparisons are false on NaN as well
-    if counts.shape != (len(row_labels), len(col_labels)) or not (
-        0 <= counts.min() <= counts.max() < np.inf
-    ):
+    # the comparisons are false on NaN as well
+    if not 0 <= counts.min() <= counts.max() < np.inf:
         return None
     return row_labels, col_labels, counts
 

@@ -10,11 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import ROWS, CorrespondenceModel, _check_axis, _freeze
+from .contingency import RANK_RTOL, ROWS, CorrespondenceModel, _check_axis, _freeze
 
 __all__ = ["FactorDecomposition", "numerical_rank"]
-
-RANK_RTOL = 1e-12
 
 CA = "CA"
 TCA = "TCA"
@@ -100,13 +98,24 @@ def numerical_rank(model: CorrespondenceModel) -> int:
     values of the standardized residual are canonical correlations, so they
     live in ``[0, 1]``; a leading value below the absolute floor ``1e-12`` is
     rounding noise from an independence table and counts as rank 0.  The
-    values come from ``model.singular_values``, the model's one R-SVD (QR of
-    the long orientation of the standardized residual, then the SVD of its
-    ``min(I, J)``-square triangular factor), computed on the first call and
-    kept, so later calls and :func:`ca_decompose` cost no factorization.
+    values come from ``model.singular_values``, the model's one
+    factorization, computed on the first call and kept, so later calls and
+    :func:`ca_decompose` cost no factorization.
+
+    That factorization first takes one ``eigh`` of the ``min(I, J)``-square
+    Gram matrix of the standardized residual, with its known null direction
+    projected out.  It keeps those values only where a bound on every
+    rounding proves that all non-trivial values lie above the threshold and
+    the trivial one at or below it, so the rank is ``min(I, J) - 1`` by
+    proof, and where the smallest non-trivial value is at least ``2^-6`` of
+    the largest.  Elsewhere, on near-independent tables and tables with a
+    value near the threshold, where the Gram matrix's squared condition
+    number would blur every value below about ``1e-8 * sigma_1``, the values
+    come from an R-SVD: a blocked QR of the long orientation of the
+    standardized residual, then the SVD of its square triangular factor.
     QR then SVD is backward stable, so the relative threshold resolves
-    values down to about ``1e-15 * sigma_1``; a Gram-matrix eigensolve would
-    square the condition number and blur everything below ``1e-8``.
+    values down to about ``1e-15 * sigma_1``.  See
+    ``CorrespondenceModel._short_svd``.
     """
     s = model.singular_values
     if s.size == 0 or s[0] <= RANK_RTOL:

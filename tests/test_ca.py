@@ -155,10 +155,24 @@ def test_factorization_matches_full_svd(counts):
     check_factorization(counts)
 
 
+@pytest.fixture
+def tsqr_only(monkeypatch):
+    """Make the Gram matrix decline every table, so the blocked TSQR runs."""
+    monkeypatch.setattr(catax.contingency, "_gram_svd", lambda model: None)
+
+
 @FACTORIZATION_CASES
-def test_blocked_factorization_matches_full_svd(counts, monkeypatch):
+def test_blocked_factorization_matches_full_svd(counts, monkeypatch, tsqr_only):
     # blocks of max(16, m) lines: three QR steps on tall, wide and
     # near_independent, one on square, whose m = 40 exceeds the block
+    monkeypatch.setattr(catax.contingency, "_QR_BLOCK_LINES", 16)
+    check_factorization(counts)
+
+
+@FACTORIZATION_CASES
+def test_blocked_gram_matches_full_svd(counts, monkeypatch):
+    # Gram blocks of 16 lines: five on tall and wide, three on square; the
+    # near-independent table declines the Gram and takes the blocked TSQR
     monkeypatch.setattr(catax.contingency, "_QR_BLOCK_LINES", 16)
     check_factorization(counts)
 
@@ -189,7 +203,7 @@ def check_factorization(counts):
 
 
 @pytest.mark.parametrize("shape", [(40, 40), (40, 90), (90, 40)])
-def test_blocked_qr_when_short_side_exceeds_block(shape, monkeypatch, linalg_calls):
+def test_blocked_qr_when_short_side_exceeds_block(shape, monkeypatch, linalg_calls, tsqr_only):
     # m = 40 exceeds the 16-line block, so each block takes m lines and every
     # intermediate R stays m x m; on (40, 40) that one block is the whole table
     monkeypatch.setattr(catax.contingency, "_QR_BLOCK_LINES", 16)
@@ -202,7 +216,7 @@ def test_blocked_qr_when_short_side_exceeds_block(shape, monkeypatch, linalg_cal
     assert linalg_calls == [("qr", b) for b in blocks] + [("svd", (40, 40))]
 
 
-def test_blocked_qr_keeps_corpus_ranks(counts100, monkeypatch):
+def test_blocked_qr_keeps_corpus_ranks(counts100, monkeypatch, tsqr_only):
     # at 3 lines a block is max(3, m) = m lines, so every table whose sides
     # differ takes several QR steps
     whole = [numerical_rank(build_model(table_from_counts(c))) for c in counts100]
@@ -213,15 +227,96 @@ def test_blocked_qr_keeps_corpus_ranks(counts100, monkeypatch):
 
 @pytest.mark.parametrize("shape", [(30, 80), (80, 30)])
 def test_one_factorization_per_model(shape, linalg_calls):
-    # one QR of the long orientation of S and one SVD of its square factor,
-    # made by the first rank query; CA then factorizes nothing
+    # one eigh of the Gram matrix of S, made by the first rank query; CA and
+    # later rank queries then factorize nothing
     model = build_model(table_from_counts(poisson_counts(shape, seed=6)))
     numerical_rank(model)
-    assert linalg_calls == [("qr", (80, 30)), ("svd", (30, 30))]
+    assert linalg_calls == [("eigh", (30, 30))]
     ca_decompose(model)
     ca_decompose(model, k=2)
     numerical_rank(model)
-    assert len(linalg_calls) == 2
+    assert linalg_calls == [("eigh", (30, 30))]
+
+
+def tsqr_rank(counts, monkeypatch):
+    """The numerical rank of ``counts`` from the blocked TSQR alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(catax.contingency, "_gram_svd", lambda model: None)
+        return numerical_rank(build_model(table_from_counts(counts)))
+
+
+def spectrum_counts(sigma, shape=(6, 8), seed=9):
+    """A real table whose standardized residual has the singular values ``sigma``.
+
+    ``P = outer(r, c) + sqrt(outer(r, c)) * U diag(sigma) V^T``, where the
+    columns of ``U`` and ``V`` are orthonormal and orthogonal to ``sqrt(r)``
+    and ``sqrt(c)``.
+    """
+    rng = np.random.default_rng(seed)
+    I, J = shape
+    r = rng.uniform(0.5, 1.5, I)
+    c = rng.uniform(0.5, 1.5, J)
+    r, c = r / r.sum(), c / c.sum()
+
+    def basis(w, n):
+        Q = np.linalg.qr(np.column_stack((np.sqrt(w), rng.standard_normal((w.size, n)))))[0]
+        return Q[:, 1:]
+
+    k = len(sigma)
+    S = basis(r, k) @ np.diag(sigma) @ basis(c, k).T
+    rc = np.outer(r, c)
+    return rc + np.sqrt(rc) * S
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.random.default_rng(7).poisson(0.3, size=(59, 826)).astype(float),
+        np.random.default_rng(7).poisson(0.3, size=(826, 59)).astype(float),
+        np.random.default_rng(8).poisson(5.0, size=(50, 20)).astype(float),
+        spectrum_counts([0.05, 0.03, 0.02, 0.01, 0.05 / 50]),
+    ],
+    ids=["sparse_wide", "sparse_tall", "enum", "sigma_at_2e-2"],
+)
+def test_well_conditioned_table_takes_gram(counts, monkeypatch, linalg_calls):
+    model = build_model(table_from_counts(counts))
+    m = min(counts.shape)
+    rank = numerical_rank(model)
+    assert linalg_calls == [("eigh", (m, m))]
+    assert rank == m - 1 == tsqr_rank(counts, monkeypatch)
+
+
+def proportional_rows_counts():
+    counts = np.random.default_rng(10).integers(1, 11, size=(5, 7)).astype(float)
+    counts[1] = 2 * counts[0]
+    return counts
+
+
+@pytest.mark.parametrize(
+    "counts, rank",
+    [
+        (near_independent_counts(), 17),
+        (proportional_rows_counts(), 3),
+        (spectrum_counts([0.05, 0.03, 0.02, 0.01, 0.05e-9]), 5),
+        # proved, but below 2^-6 of the largest: declined for accuracy
+        (spectrum_counts([0.05, 0.03, 0.02, 0.01, 0.05e-4]), 5),
+    ],
+    ids=["near_independent", "proportional_rows", "sigma_near_1e-9", "sigma_near_1e-4"],
+)
+def test_declined_tables_take_the_tsqr(counts, rank, monkeypatch, linalg_calls):
+    # the Gram's eigh, then one QR of the whole long side and the SVD of R
+    n, m = max(counts.shape), min(counts.shape)
+    assert numerical_rank(build_model(table_from_counts(counts))) == rank
+    assert linalg_calls == [("eigh", (m, m)), ("qr", (n, m)), ("svd", (m, m))]
+    assert tsqr_rank(counts, monkeypatch) == rank
+
+
+def test_gram_keeps_corpus_ranks(counts100, monkeypatch):
+    # every corpus table takes the Gram, so each rank is proved, not a fallback
+    models = [build_model(table_from_counts(c)) for c in counts100]
+    assert all(catax.contingency._gram_svd(model) is not None for model in models)
+    gram = [numerical_rank(model) for model in models]
+    assert gram == [tsqr_rank(c, monkeypatch) for c in counts100]
 
 
 def test_benzecri_matches_loop_oracle(models30):

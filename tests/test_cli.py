@@ -1,6 +1,7 @@
 """CLI behavior: output formats, exit codes, warnings, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -369,3 +370,24 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "# method=CA" in proc.stdout
+
+
+def test_output_does_not_depend_on_blas_threads(tmp_path):
+    # 200 x 3000: the Gram matrix of S is summed over two blocks of lines and
+    # TCA takes the iterative step; JSON prints every value in full
+    counts = np.random.default_rng(4).poisson(0.3, size=(200, 3000))
+    counts[:, 0] += 1  # no empty row
+    counts[0] += 1  # no empty column
+    path = write_csv(tmp_path, counts)
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "catax", "--input", path, "--method", "both",
+             "--axis", "both", "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -5,6 +5,11 @@
 arrays only.  The table is wide enough that a QR block (2048 lines of the
 200-line short side) is well under one table size.
 
+``load_table`` holds the text it parses as well as the table.  An integer
+table is parsed as int64 one block of rows at a time, each block converted
+into its rows of the one float64 table, so the bound on it is the text plus
+``BOUND`` table sizes.
+
 Criss-cross ascent advances all its starts together, so the iterative TCA
 step also holds a few start-by-column arrays, ``(restarts + 10) x J`` each:
 not table-sized, but on a 200-row table each is 0.15 of one.  The TCA bound
@@ -35,6 +40,7 @@ from catax import (
     ROWS,
     build_model,
     ca_decompose,
+    load_table,
     numerical_rank,
     tca_decompose,
     tca_total_dispersion,
@@ -91,6 +97,28 @@ def test_stage_heap_peaks():
     over = {name: (peak / size, bounds[name] / size) for name, peak in peaks.items()
             if peak > bounds[name]}
     assert not over, f"(heap peak, bound) in table sizes: {over}"
+
+
+def test_load_table_heap_peak(tmp_path):
+    # An integer table is parsed as int64 a block of rows at a time: the
+    # text, the float64 table and one block.
+    counts = np.random.default_rng(12).poisson(0.3, size=(200, 12000))
+    counts[:, 0] += 1  # no empty row
+    counts[0] += 1  # no empty column
+    lines = ["label," + ",".join(f"c{j}" for j in range(counts.shape[1]))]
+    lines += [f"r{i}," + ",".join(map(str, row)) for i, row in enumerate(counts)]
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(lines) + "\n")
+    del lines
+    text = path.stat().st_size  # ASCII, so one byte per character held
+    size = counts.size * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        peak, table = heap_peak(lambda: load_table(path))
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(table.counts, counts)
+    assert peak <= text + BOUND * size, f"heap peak {(peak - text) / size:.2f} table sizes"
 
 
 def test_zero_axes_form_no_residual():
