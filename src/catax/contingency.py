@@ -161,11 +161,14 @@ class ContingencyTable:
         for name, labels in (("row", self.row_labels), ("column", self.col_labels)):
             if len(set(labels)) != len(labels):
                 raise InvalidTableError(f"duplicate {name} label")
-        if not np.all(np.isfinite(counts)):
+        # two passes decide all three checks: a NaN cell makes both extremes
+        # NaN, so it reads as not finite before any negative cell is seen
+        lo, hi = counts.min(), counts.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InvalidTableError("counts must be finite")
-        if np.any(counts < 0):
+        if lo < 0:
             raise InvalidTableError("counts must be nonnegative")
-        if not counts.any():  # a sum could overflow
+        if hi == 0:  # a sum could overflow
             raise InvalidTableError("grand total must be positive")
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))

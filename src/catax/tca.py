@@ -81,6 +81,21 @@ _LOW_BITS = 12
 # float64 scores and signs of one chunk of candidates take the same 8 MB.
 _BLOCK_ELEMENTS = 1 << 21
 
+# tca_decompose forms the iterative steps' start Gram again from the residual
+# when the deflated update's trace falls below this fraction of the trace at
+# its last formation.  The update's rounding accumulates in proportion to
+# that earlier trace, a fresh product's in proportion to the current one, so
+# the ratio keeps the two within a factor 1/0.9.  Measured with the iterative
+# solver forced on seeded Poisson tables (80 small ones, 60 x 25 and 25 x 200,
+# at full rank; four 80 x 600 at k = 40; two 300 x 1500 at k = 20) and on two
+# 590 x 8265 ones at k = 30, against forming the Gram on every axis: at 0.9
+# no output changed, while the large tables still took the update in 128 of
+# 160 and 36 of 40 steps.  At 0.5, 27 of the 80 small tables changed from a
+# deep axis (the 15th to 22nd of 24), and with no re-formation 30 did: near
+# ties re-rolled (the changed value was the higher one at the first differing
+# axis in about half of them), but byte changes all the same.
+_REFORM_TRACE = 0.9
+
 
 def _sign(x: np.ndarray) -> np.ndarray:
     """Sign with the fixed convention sign(0) = +1."""
@@ -108,10 +123,14 @@ class TsvdStepResult:
         object.__setattr__(self, "v", _freeze(self.v))
 
 
-def _step_result(R: np.ndarray, u: np.ndarray, certified: bool) -> TsvdStepResult:
-    """The step of residual ``R`` at ``u``: ``v = sign(R u)``, ``delta = ||R u||_1``."""
+def _step_result(
+    R: np.ndarray, u: np.ndarray, certified: bool
+) -> tuple[TsvdStepResult, np.ndarray]:
+    """The step of residual ``R`` at ``u`` (``v = sign(R u)``, ``delta =
+    ||R u||_1``) and ``R u``, which the deflation reuses."""
     Ru = R @ u
-    return TsvdStepResult(u=u, v=_sign(Ru), delta=float(np.abs(Ru).sum()), certified=certified)
+    step = TsvdStepResult(u=u, v=_sign(Ru), delta=float(np.abs(Ru).sum()), certified=certified)
+    return step, Ru
 
 
 def _signs(codes: np.ndarray, m: int) -> np.ndarray:
@@ -283,7 +302,7 @@ def tsvd_step_exhaustive(residual: np.ndarray) -> TsvdStepResult:
     else:
         v = _enumerate_max(R.T)
         u = _sign(R.T @ v)
-    return _step_result(R, u, certified=True)
+    return _step_result(R, u, certified=True)[0]
 
 
 def _criss_cross(R: np.ndarray, U: np.ndarray, tol: float) -> np.ndarray:
@@ -318,12 +337,45 @@ def _criss_cross(R: np.ndarray, U: np.ndarray, tol: float) -> np.ndarray:
     return obj
 
 
-def _start_signs(R: np.ndarray, q: int) -> np.ndarray:
+def _gram(R: np.ndarray) -> np.ndarray:
+    """The Gram matrix of the smaller side of ``R``: ``R R^T`` for ``I <= J``,
+    else ``R^T R``; one symmetric product (syrk), exactly symmetric."""
+    I, J = R.shape
+    return R @ R.T if I <= J else R.T @ R
+
+
+def _deflate_gram(
+    G: np.ndarray, R: np.ndarray, a: np.ndarray, b: np.ndarray, delta: float
+) -> None:
+    """Update ``G = _gram(R)`` in place to the Gram of ``R - a b^T / delta``.
+
+    For ``I <= J``, ``G' = G - a h^T - h a^T`` with ``h = R b / delta -
+    (b.b) / (2 delta^2) a``; for ``I > J`` the same with ``a`` and ``b``
+    swapped and ``R^T a`` for ``R b``.  One matrix-vector product and O(m^2)
+    work, against the O(m^2 n) of a new product.  ``G`` is updated a row
+    block at a time, so no m x m temporary is made; entry ``(i, j)`` takes
+    ``x_i h_j + h_i x_j``, the same sum as ``(j, i)``, so ``G`` stays exactly
+    symmetric.  ``R`` must not have been deflated yet.
+    """
+    I, J = R.shape
+    x, y, Ry = (a, b, R @ b) if I <= J else (b, a, a @ R)
+    h = Ry / delta - (y @ y) / (2 * delta * delta) * x
+    for blk in _row_blocks(*G.shape):
+        term = np.multiply.outer(x[blk], h)
+        term += np.multiply.outer(h[blk], x)
+        G[blk] -= term
+
+
+def _start_signs(R: np.ndarray, G: np.ndarray, q: int) -> np.ndarray:
     """Signs of the ``q`` leading right singular vectors of ``R``, one per row,
     each up to a flip.
 
-    The vectors come from ``eigh`` of the Gram matrix of the smaller side, a
-    ``min(I, J)``-square problem: for ``I <= J`` the leading eigenvectors
+    The vectors come from ``eigh`` of ``G``, the Gram matrix of the smaller
+    side of ``R``, a ``min(I, J)``-square problem.  `tsvd_step_iterative`
+    forms its own (`_gram`); `tca_decompose` forms one per decomposition and
+    deflates it with the residual by a rank-two update (`_deflate_gram`),
+    forming it again only when its trace falls below ``_REFORM_TRACE`` (0.9)
+    of its trace at the last formation.  For ``I <= J`` the leading eigenvectors
     ``u_i`` of ``R R^T`` give ``R^T u_i = sigma_i v_i``; otherwise the leading
     eigenvectors of ``R^T R`` are the ``v_i`` themselves.  A full SVD of a
     wide residual costs far more and yields the same signs wherever
@@ -333,34 +385,15 @@ def _start_signs(R: np.ndarray, q: int) -> np.ndarray:
     symmetry.
     """
     I, J = R.shape
-    if I <= J:
-        V = R.T @ np.linalg.eigh(R @ R.T)[1][:, ::-1][:, :q]
-    else:
-        V = np.linalg.eigh(R.T @ R)[1][:, ::-1][:, :q]
-    return _sign(V.T)
+    E = np.linalg.eigh(G)[1][:, ::-1][:, :q]
+    return _sign((R.T @ E if I <= J else E).T)
 
 
-def tsvd_step_iterative(
-    residual: np.ndarray,
-    restarts: int = 20,
-    seed: int | np.random.SeedSequence | None = 0,
-) -> TsvdStepResult:
-    """Heuristic taxicab SVD step: best criss-cross fixed point over restarts.
-
-    Starting points are the signs of the first ``min(10, I, J)`` right
-    singular vectors of the residual, taken from one ``eigh`` of its
-    smaller-side Gram matrix (see `_start_signs`), plus ``restarts`` seeded
-    random sign vectors.  Each half-step cannot decrease ``||R u||_1``, so
-    every start reaches a fixed point.  All starts ascend together in one
-    J x n matrix, one matrix-matrix product per half-step (`_criss_cross`;
-    Dongarra et al., ACM TOMS 16(1), 1990).  The distinct fixed points, in
-    lexicographic order with their batched objectives as bulk scores, go
-    through the finalist rule, so the order of the starts does not matter.
-    ``delta = ||R u||_1`` and ``v = sign(R u)``.  Never certified.
-    """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    R = np.asarray(residual, dtype=float)
+def _iterative_step(
+    R: np.ndarray, G: np.ndarray, restarts: int, seed: int | np.random.SeedSequence | None
+) -> tuple[TsvdStepResult, np.ndarray]:
+    """`tsvd_step_iterative` of ``R`` with its starts from ``G`` (see
+    `_start_signs`), and ``R u``."""
     I, J = R.shape
     # summed in row blocks, so no temporary the size of the residual is made
     # and added in order, as tca_total_dispersion adds them: sum() of floats
@@ -368,7 +401,7 @@ def tsvd_step_iterative(
     total = 0.0
     for b in _row_blocks(I, J):
         total += float(np.abs(R[b]).sum())
-    starts = _start_signs(R, min(10, I, J)) if total > 0 else np.empty((0, J))
+    starts = _start_signs(R, G, min(10, I, J)) if total > 0 else np.empty((0, J))
     rng = np.random.default_rng(seed)
     U = np.vstack((starts, rng.integers(0, 2, size=(restarts, J)) * 2.0 - 1.0)).T
     tol = _SHORTLIST_RTOL * total
@@ -382,6 +415,34 @@ def tsvd_step_iterative(
     points = near[np.unique(bits, axis=0, return_index=True)[1]]  # distinct, sorted
     u = _first_max(R, U[:, points[_finalists(obj[points], tol)]].T)
     return _step_result(R, u, certified=False)
+
+
+def tsvd_step_iterative(
+    residual: np.ndarray,
+    restarts: int = 20,
+    seed: int | np.random.SeedSequence | None = 0,
+) -> TsvdStepResult:
+    """Heuristic taxicab SVD step: best criss-cross fixed point over restarts.
+
+    Starting points are the signs of the first ``min(10, I, J)`` right
+    singular vectors of the residual, taken from one ``eigh`` of its
+    smaller-side Gram matrix (see `_start_signs`), plus ``restarts`` seeded
+    random sign vectors.  This step forms that Gram matrix itself.  The steps
+    of `tca_decompose` share one Gram per decomposition instead, deflated
+    from axis to axis by a rank-two update and formed again only when its
+    trace falls below 0.9 of its trace at the last formation.  Each
+    half-step cannot decrease ``||R u||_1``, so every start reaches a fixed
+    point.  All starts ascend together in one J x n matrix, one
+    matrix-matrix product per half-step (`_criss_cross`; Dongarra et al.,
+    ACM TOMS 16(1), 1990).  The distinct fixed points, in lexicographic
+    order with their batched objectives as bulk scores, go through the
+    finalist rule, so the order of the starts does not matter.
+    ``delta = ||R u||_1`` and ``v = sign(R u)``.  Never certified.
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    R = np.asarray(residual, dtype=float)
+    return _iterative_step(R, _gram(R), restarts, seed)[0]
 
 
 def tca_decompose(
@@ -402,7 +463,12 @@ def tca_decompose(
         and falls back to criss-cross iteration above it.
     restarts, seed
         Iterative-solver controls; each deflation step draws its random
-        starts from an independent child of ``seed``.
+        starts from an independent child of ``seed``.  The iterative steps
+        share one start Gram matrix per decomposition, formed at the first
+        step and deflated with the residual by a rank-two update, and formed
+        again when its trace falls below 0.9 of its trace at the last
+        formation (see `_start_signs`); `tsvd_step_iterative` called on its
+        own still forms its own Gram.
 
     Raises
     ------
@@ -437,7 +503,11 @@ def tca_decompose(
     # a fresh array: the working residual, deflated in place; none for zero axes
     R = model.D if k else None
     I, J = model.shape
-    enumerable = min(I, J) <= EXHAUSTIVE_LIMIT
+    exhaustive = strategy == "exhaustive" or (strategy == "auto" and min(I, J) <= EXHAUSTIVE_LIMIT)
+    # the iterative steps' start Gram, formed at the first step, deflated
+    # with R and formed again when its trace falls below _REFORM_TRACE of
+    # the trace it was formed with
+    G, formed = None, 0.0
     seed_seq = np.random.SeedSequence(seed)
     # Column-major, so each axis is written contiguously and the C-ordered
     # arrays the decomposition keeps are allocated after the loop, when
@@ -447,10 +517,14 @@ def tca_decompose(
     col_scores = np.empty((J, k), order="F")
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     for alpha in range(k):
-        if strategy == "exhaustive" or (strategy == "auto" and enumerable):
+        if exhaustive:
             step = tsvd_step_exhaustive(R)
+            Ru = R @ step.u
         else:
-            step = tsvd_step_iterative(R, restarts=restarts, seed=seed_seq.spawn(1)[0])
+            if G is None or np.trace(G) < _REFORM_TRACE * formed:
+                G = _gram(R)
+                formed = np.trace(G)
+            step, Ru = _iterative_step(R, G, restarts, seed_seq.spawn(1)[0])
         if step.delta < _DELTA_FLOOR:
             warnings.warn(
                 f"residual exhausted after {alpha} axes ({k} requested); truncating",
@@ -458,13 +532,14 @@ def tca_decompose(
                 stacklevel=2,
             )
             break
-        Ru = R @ step.u
         vR = step.v @ R
         deltas[alpha] = step.delta
         row_scores[:, alpha] = Ru / model.r
         col_scores[:, alpha] = vR / model.c
         pairs.append((np.asarray(step.u), np.asarray(step.v)))
         if alpha + 1 < k:  # the residual after the last axis is never read
+            if G is not None:
+                _deflate_gram(G, R, Ru, vR, step.delta)
             for b in _row_blocks(I, J):  # no temporary the size of R
                 R[b] -= np.outer(Ru[b], vR) / step.delta
 

@@ -519,6 +519,22 @@ def test_table_validation_direct():
         ContingencyTable(("a", "b"), ("x", "y"), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([[np.nan, -1.0], [0.0, 1.0]], "finite"),  # NaN before negative
+        ([[-1.0, np.nan], [0.0, 1.0]], "finite"),
+        ([[-np.inf, 1.0], [0.0, 1.0]], "finite"),
+        ([[np.inf, -1.0], [0.0, 1.0]], "finite"),
+        ([[1.0, -2.0], [0.0, 1.0]], "nonnegative"),
+        ([[-0.0, 0.0], [0.0, -0.0]], "grand total must be positive"),
+    ],
+)
+def test_table_validation_messages(cells, message):
+    with pytest.raises(InvalidTableError, match=message):
+        ContingencyTable(("a", "b"), ("x", "y"), np.array(cells))
+
+
 def test_build_model_diag():
     model = build_model(DIAG)
     np.testing.assert_allclose(model.P, [[0.5, 0.0], [0.0, 0.5]])
@@ -625,7 +641,7 @@ def test_derived_residuals_equal_whole_table_expressions():
 
 def test_tca_starts_from_the_derived_residual(monkeypatch):
     first = []
-    for name in ("tsvd_step_exhaustive", "tsvd_step_iterative"):
+    for name in ("tsvd_step_exhaustive", "_iterative_step"):
         real = getattr(catax.tca, name)
 
         def spy(residual, *args, _real=real, **kwargs):

@@ -15,6 +15,10 @@ step also holds a few start-by-column arrays, ``(restarts + 10) x J`` each:
 not table-sized, but on a 200-row table each is 0.15 of one.  The TCA bound
 allows five of them on top.
 
+Iterative TCA keeps one start Gram matrix, ``min(I, J)``-square, per
+decomposition and deflates it in place by a rank-two update a row block at a
+time: the update makes no temporary the size of the Gram matrix.
+
 The total dispersion and the raw distances of a distortion report are
 summed over blocks, and a zero-axis decomposition forms no residual, so none
 of them makes a table-sized array.
@@ -46,6 +50,7 @@ from catax import (
     tca_total_dispersion,
     tsvd_step_exhaustive,
 )
+from catax.contingency import _row_blocks
 from catax.distortion import distortion_report
 from conftest import table_from_counts
 
@@ -178,3 +183,23 @@ def test_exhaustive_exact_pass_heap_peak():
     finally:
         tracemalloc.stop()
     assert peak <= scores + buffers + low_table, f"heap peak {peak} bytes"
+
+
+def test_gram_update_heap_peak():
+    # The Gram matrix is 1500 x 1500 (18 MB), a row block of it 1 MB: the
+    # update's temporaries stay within G plus one block, where a whole-matrix
+    # np.outer(a, h) + np.outer(h, a) would make three of G's size.
+    rng = np.random.default_rng(15)
+    R = rng.standard_normal((1500, 1600))
+    G = catax.tca._gram(R)
+    u, v = np.sign(rng.standard_normal(1600)), np.sign(rng.standard_normal(1500))
+    a, b = R @ u, v @ R
+    delta = float(np.abs(a).sum())
+    block = next(_row_blocks(*G.shape))
+    block_bytes = G[block].nbytes
+    tracemalloc.start()
+    try:
+        peak, _ = heap_peak(lambda: catax.tca._deflate_gram(G, R, a, b, delta))
+    finally:
+        tracemalloc.stop()
+    assert peak <= G.nbytes + block_bytes, f"heap peak {peak / G.nbytes:.2f} Gram sizes"

@@ -448,7 +448,7 @@ def test_start_signs_match_svd(shape):
     for R in deflations(poisson_model(shape, seed=5).D, 4):
         q = min(10, *R.shape)
         s = np.linalg.svd(R, compute_uv=False)
-        starts = catax.tca._start_signs(R, q)
+        starts = catax.tca._start_signs(R, catax.tca._gram(R), q)
         assert len(starts) == q
         for i, (ours, ref) in enumerate(zip(starts, svd_start_signs(R, q))):
             # a vector is defined up to a flip only when its singular value
@@ -460,6 +460,107 @@ def test_start_signs_match_svd(shape):
     assert compared >= 35
 
 
+def deflated_grams(R, steps):
+    """``(R_t, G_t)`` over the first ``steps`` iterative axes: the residuals
+    of `deflations` and the start Gram that tca_decompose keeps for each,
+    formed once from ``R`` and then deflated by the rank-two update."""
+    G = catax.tca._gram(R)
+    pairs = []
+    for _ in range(steps):
+        step = tsvd_step_iterative(R, restarts=20, seed=0)
+        if step.delta < 1e-12:
+            break
+        pairs.append((R, G.copy()))
+        a, b = R @ step.u, step.v @ R
+        catax.tca._deflate_gram(G, R, a, b, step.delta)
+        R = R - np.outer(a, b) / step.delta
+    return pairs
+
+
+# Bound on the updated Gram's distance from a product formed afresh, in units
+# of steps * 2^-53 * trace(G_0): each update rounds every entry a few times on
+# terms up to the trace it was formed with, and the fresh product adds its
+# own rounding.  The largest ratio seen over 100 seeded Poisson residuals of
+# five shapes (60 x 300 to 30 x 2000), 8 steps each, was 1.2.
+GRAM_UPDATE_C = 8
+
+
+@pytest.mark.parametrize("shape", [(60, 300), (300, 60)])
+def test_deflated_gram_matches_formed(shape):
+    pairs = deflated_grams(poisson_model(shape, seed=5).D, 5)
+    assert len(pairs) == 5  # four deflations
+    trace0 = np.trace(pairs[0][1])
+    for steps, (R, G) in enumerate(pairs):
+        assert G.shape == (min(shape),) * 2
+        np.testing.assert_array_equal(G, G.T)  # exactly symmetric
+        bound = GRAM_UPDATE_C * steps * 2.0**-53 * trace0
+        assert np.abs(G - catax.tca._gram(R)).max() <= bound
+
+
+@pytest.mark.parametrize("shape", [(60, 300), (300, 60)])
+def test_start_signs_from_deflated_gram_match_svd(shape):
+    compared = 0
+    for R, G in deflated_grams(poisson_model(shape, seed=5).D, 5)[1:]:
+        q = min(10, *R.shape)
+        s = np.linalg.svd(R, compute_uv=False)
+        starts = catax.tca._start_signs(R, G, q)
+        assert len(starts) == q
+        for i, (ours, ref) in enumerate(zip(starts, svd_start_signs(R, q))):
+            # the gap rule of test_start_signs_match_svd
+            gap = min(s[i - 1] - s[i] if i else np.inf, s[i] - s[i + 1])
+            if s[i] > 1e-12 * s[0] and gap > 1e-6 * s[0]:
+                assert np.array_equal(ours, ref) or np.array_equal(ours, -ref)
+                compared += 1
+    assert compared >= 35
+
+
+def gram_formations(monkeypatch):
+    """The trace of each start Gram that `_gram` forms, in order."""
+    traces, gram = [], catax.tca._gram
+    monkeypatch.setattr(catax.tca, "_gram", lambda R: traces.append(np.sum(R * R)) or gram(R))
+    return traces
+
+
+def test_one_gram_per_decomposition(monkeypatch):
+    counts = np.random.default_rng(6).poisson(0.3, size=(200, 3000)).astype(float)
+    counts[:, 0] += 1  # no empty row
+    counts[0] += 1  # no empty column
+    model = build_model(table_from_counts(counts))
+    traces = gram_formations(monkeypatch)
+    tca_decompose(model, k=4, strategy="iterative")
+    assert len(traces) == 1
+
+
+def test_gram_formed_again_below_trace_ratio(monkeypatch):
+    # One strong block: the first axis removes most of the trace, the next
+    # ones little of what is left.
+    counts = np.random.default_rng(6).poisson(0.3, size=(200, 3000)).astype(float)
+    counts[:100, :1500] += 2.0
+    model = build_model(table_from_counts(counts))
+    traces = gram_formations(monkeypatch)
+    tca_decompose(model, k=4, strategy="iterative")
+    assert len(traces) == 2
+    assert traces[1] < catax.tca._REFORM_TRACE * traces[0]
+
+
+def test_deflated_gram_decomposition_same_as_formed_every_axis(monkeypatch):
+    counts = np.random.default_rng(7).poisson(1.0, size=(80, 600)).astype(float)
+    model = build_model(table_from_counts(counts))
+    traces = gram_formations(monkeypatch)
+    dec = tca_decompose(model, k=12, strategy="iterative")
+    formed = len(traces)
+    assert formed < 12  # the update ran
+    monkeypatch.setattr(catax.tca, "_REFORM_TRACE", np.inf)  # form on every axis
+    ref = tca_decompose(model, k=12, strategy="iterative")
+    assert len(traces) - formed == dec.k == ref.k == 12
+    for got, want in ((dec.deltas, ref.deltas), (dec.row_scores, ref.row_scores),
+                      (dec.col_scores, ref.col_scores)):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(dec.sign_vectors, ref.sign_vectors):
+        for x, y in zip(got, want):
+            np.testing.assert_array_equal(x, y)
+
+
 def test_iterative_step_same_as_svd_started(models30, monkeypatch):
     residuals = [poisson_model((12, 40), seed=8).D, poisson_model((40, 12), seed=9).D]
     for model in models30:
@@ -467,7 +568,7 @@ def test_iterative_step_same_as_svd_started(models30, monkeypatch):
     for R in residuals:
         step = tsvd_step_iterative(R, restarts=20, seed=3)
         with monkeypatch.context() as patch:
-            patch.setattr(catax.tca, "_start_signs", svd_start_signs)
+            patch.setattr(catax.tca, "_start_signs", lambda R, G, q: svd_start_signs(R, q))
             ref = tsvd_step_iterative(R, restarts=20, seed=3)
         np.testing.assert_array_equal(step.u, ref.u)
         np.testing.assert_array_equal(step.v, ref.v)
@@ -487,7 +588,7 @@ def test_iterative_v_is_sign_of_product_after_flip(monkeypatch):
     # (-1, -1) stays at the mirrored fixed point, which is then flipped, and
     # v must still read sign(0) = +1 there.
     R = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-    monkeypatch.setattr(catax.tca, "_start_signs", lambda R, q: [np.array([-1.0, -1.0])])
+    monkeypatch.setattr(catax.tca, "_start_signs", lambda R, G, q: [np.array([-1.0, -1.0])])
     step = tsvd_step_iterative(R, restarts=1, seed=0)
     assert step.delta == 4.0
     np.testing.assert_array_equal(step.u, [1.0, 1.0])
@@ -557,7 +658,7 @@ def test_batched_criss_cross_matches_oracle_on_integer_residuals():
 @pytest.mark.parametrize("shape", [(60, 300), (300, 60)])
 def test_batched_criss_cross_matches_oracle_on_gaussian_residuals(shape):
     R = np.random.default_rng(sum(shape)).normal(size=shape)
-    U0 = np.hstack((catax.tca._start_signs(R, 10).T, sign_starts(shape[1], 20, seed=1)))
+    U0 = np.hstack((catax.tca._start_signs(R, catax.tca._gram(R), 10).T, sign_starts(shape[1], 20, seed=1)))
     assert_matches_oracle(R, U0, exact=False)
 
 
