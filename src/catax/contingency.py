@@ -65,16 +65,17 @@ RANK_RTOL = 1e-12
 # gap, within the 1e-14 to which the tests pin them against a full SVD.
 _GRAM_MIN_RATIO = 2.0**-12
 
-# csv ends a record at \r\n, \n or \r, and keeps every other character,
-# \x0c and \u2028 among them, as data.
-_LINE = re.compile(r"[^\r\n]*(?:\r\n|\n|\r)|[^\r\n]+\Z")
-
-# Line breaks of str.splitlines that csv keeps as data.  `_read_plain` leaves
-# a text holding any of them to the row loop.
+# Line breaks of str.splitlines that csv keeps as data: it ends a record only
+# at \r\n, \n or \r.  `_lines` joins a line that ends at one to the next.
 _SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
-# `_read_plain` splits its text into lines at least this many characters at a
-# time, so it never holds a second copy of the whole text.
+# `_read_plain` leaves a data line holding any of these to the row loop: csv
+# unquotes a '"' and, before Python 3.11, rejects a NUL; loadtxt strips
+# \x1c-\x1f around a number, float() does not.
+_DECLINED = '"\0\x1f' + _SPLITLINES_ONLY
+
+# `_lines` splits a text into lines at least this many characters at a time,
+# so it never holds a second copy of the whole text.
 _PIECE = 1 << 20
 
 
@@ -442,10 +443,6 @@ def _detect_delimiter(sample: str) -> str:
     return best
 
 
-class _Decline(Exception):
-    """A data line that `_read_plain` leaves to the csv row loop."""
-
-
 def _records(lines: Iterator[str], delimiter: str) -> Iterator[list[str]]:
     """The nonblank csv records of ``lines``.
 
@@ -456,14 +453,16 @@ def _records(lines: Iterator[str], delimiter: str) -> Iterator[list[str]]:
 
 
 def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text``, each with its line break, split by `str.splitlines`.
+    """The lines of ``text``, each with its line break, ending where csv ends a record.
 
-    For a text without the characters of ``_SPLITLINES_ONLY`` these are the
-    lines of `_LINE`, which end where csv ends a record.  The text is split a
-    piece of at least ``_PIECE`` characters at a time, each piece ending at a
-    line break, so no line is cut and only one piece's copy is held.
+    csv ends a record at ``\\r\\n``, ``\\n`` or ``\\r``.  The text is split by
+    `str.splitlines` a piece of at least ``_PIECE`` characters at a time,
+    each piece ending at one of those breaks, so no line is cut and only one
+    piece's copy is held.  A line that `str.splitlines` ends at a character
+    csv keeps as data (``_SPLITLINES_ONLY``) is joined to the next one.
     """
     start = 0
+    line = ""
     while start < len(text):
         # after a \n, so no \r\n is cut in two; else the rest has no \n
         stop = (
@@ -471,8 +470,14 @@ def _lines(text: str) -> Iterator[str]:
             or text.find("\r", start + _PIECE) + 1
             or len(text)
         )
-        yield from text[start:stop].splitlines(keepends=True)
+        for part in text[start:stop].splitlines(keepends=True):
+            line += part
+            if part[-1] in "\r\n":
+                yield line
+                line = ""
         start = stop
+    if line:  # the last line, without a line break
+        yield line
 
 
 def _column_labels(header: Sequence[str], width: int) -> list[str] | None:
@@ -502,14 +507,20 @@ def _reject_row(
     raise InvalidTableError(f"row {label!r}: a cell could not be parsed")
 
 
+def _line_breaks(text: str) -> int:
+    """The line breaks of ``text`` where csv ends a record, a ``\\r\\n`` counted once."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
 def _read_rows(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndarray]:
     """Row labels, column labels and counts of ``text``, read by csv one row at a time.
 
-    Each data row is converted as it is read and checked there, so the first
-    bad row raises, and errors follow row order.
+    csv reads the lines of `_lines`, one at a time.  Each data row is
+    converted as it is read and checked there, so the first bad row raises,
+    and errors follow row order.
     """
     # one line at a time: io.StringIO would hold a 4-byte-per-character copy
-    rows = _records((match.group() for match in _LINE.finditer(text)), delimiter)
+    rows = _records(_lines(text), delimiter)
     header = next(rows, None)
     first = next(rows, None)
     if first is None:
@@ -525,14 +536,12 @@ def _read_rows(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndar
             f"header has {len(header)} fields but data rows have {width}"
         )
 
-    # Every csv row but the last ends in a line break (\r\n, \n or \r, a
-    # \r\n counted once), so there are at most as many data rows as line
-    # breaks.  Rows are converted as they are read:
+    # Every csv row but the last ends in a line break, so there are at most
+    # as many data rows as line breaks.  Rows are converted as they are read:
     # holding every row's list of strings at once left ~40 MB of dead heap
     # under the next large allocation on a 590 x 8265 table.
     row_labels: list[str] = []
-    breaks = text.count("\n") + text.count("\r") - text.count("\r\n")
-    counts = np.empty((breaks, width - 1))
+    counts = np.empty((_line_breaks(text), width - 1))
     for i, row in enumerate(itertools.chain((first,), rows)):
         row_labels.append(row[0].strip())
         try:
@@ -542,36 +551,55 @@ def _read_rows(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndar
         # false on NaN as well; a short row may have broadcast into counts[i]
         if len(row) != width or not 0 <= counts[i].min() <= counts[i].max() < np.inf:
             _reject_row(row, width, row_labels[i], col_labels)
-    return row_labels, col_labels, counts[: len(row_labels)]
+    # shrunk in place, so the table keeps no unused rows; no view of it exists
+    counts.resize((len(row_labels), width - 1), refcheck=False)
+    return row_labels, col_labels, counts
+
+
+def _parse_block(cells: list[str], delimiter: str) -> np.ndarray | None:
+    """The cells of a block of data lines, parsed by `numpy.loadtxt`, or None.
+
+    They are parsed as int64, about twice as fast as float64, when none
+    holds a ``-`` or a non-ASCII character: int64 would read ``-0`` as
+    ``+0``, and numpy's int64 parser takes some non-ASCII characters for
+    digits (numpy 2.4 even crashes on some).  An int64 parse that fails,
+    overflows or warns (numpy 1.23 warns where it would read a cell such as
+    ``1.5`` through a float) is dropped for a float64 one.  None is returned
+    when the float64 parse fails too.
+    """
+    int64 = not any("-" in line or not line.isascii() for line in cells)
+    for dtype in (np.int64, np.float64) if int64 else (np.float64,):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                return np.loadtxt(cells, delimiter=delimiter, comments=None, dtype=dtype, ndmin=2)
+        except (ValueError, OverflowError, DeprecationWarning):
+            continue
+    return None
 
 
 def _read_plain(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndarray] | None:
     """What `_read_rows` returns, for an unquoted table of plain decimal cells.
 
-    The lines are split by `str.splitlines` (`_lines`).  The header is read
+    The text is walked once, in the lines of `_lines`.  The header is read
     from them by csv, as `_read_rows` reads it.  Each later line that is not
     blank is a data row.  Its label is the text before the first delimiter,
     stripped, and the rest of the data rows is parsed by `numpy.loadtxt`,
-    in C, one call per 1 MB block of rows, each block written into its rows
-    of one float64 array that owns its memory.  The calls read int64 when no
-    data cell holds a ``-`` or a non-ASCII character: int64 would read
-    ``-0`` as ``+0``, and numpy's int64 parser takes some non-ASCII
-    characters for digits (numpy 2.4 even crashes on some).  An int64 parse
-    that fails, overflows or warns (numpy 1.23 warns where it would read
-    through a float) is dropped and replaced by a float64 one.  None, which
-    leaves the text to `_read_rows`, is returned when
+    in C, one block of 1 MB of counts at a time (`_parse_block`, as int64
+    or else as float64, chosen for each block), each block written into its
+    rows of one float64 array that owns its memory.  None, which leaves the
+    text to `_read_rows`, is returned when
 
     - the delimiter is not one of ``_DELIMITERS``;
-    - the text holds a line break of `str.splitlines` that csv keeps as data
-      (``_SPLITLINES_ONLY``: ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
-      ``\\x85``, ``\\u2028``, ``\\u2029``);
-    - a data line holds a quote, a NUL or ``\\x1f``, or is longer than csv's
-      field size limit;
+    - a data line holds a quote, a NUL, ``\\x1f`` or a line break of
+      `str.splitlines` that csv keeps as data (``_SPLITLINES_ONLY``:
+      ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``,
+      ``\\u2029``), or is longer than csv's field size limit;
     - a data line has no cell after its label;
     - the header does not fit the first data line;
-    - loadtxt cannot parse the cells as float64: a line has not as many
-      cells as the first, or a cell is not a number to loadtxt (it rejects
-      ``1_000`` and non-ASCII digits, which ``float()`` reads);
+    - loadtxt cannot parse a block's cells as float64: a line has not as
+      many cells as the first, or a cell is not a number to loadtxt (it
+      rejects ``1_000`` and non-ASCII digits, which ``float()`` reads);
     - loadtxt's result for a block has not one row per data line;
     - a count is not finite, or negative.
 
@@ -579,67 +607,36 @@ def _read_plain(text: str, delimiter: str) -> tuple[list[str], list[str], np.nda
     the nearest float64 as the decimal does, so a result equals the one of
     `_read_rows` bit for bit.
     """
-    if delimiter not in _DELIMITERS or any(sep in text for sep in _SPLITLINES_ONLY):
+    if delimiter not in _DELIMITERS:
         return None
+    lines = _lines(text)
+    header = next(_records(lines, delimiter), None)
+    first = next((line for line in lines if line[0] not in "\r\n"), None)
+    if first is None:  # also when there is no header
+        return None
+    col_labels = _column_labels(header, first.count(delimiter) + 1)
+    if not col_labels:  # also when the first data line has no delimiter
+        return None
+    width = len(col_labels)
     limit = csv.field_size_limit()
-
-    def parse(dtype: type) -> tuple[list[str], list[str], np.ndarray]:
-        lines = _lines(text)
-        header = next(_records(lines, delimiter), None)
-        first = next((line for line in lines if line[0] not in "\r\n"), None)
-        if first is None:  # also when there is no header
-            raise _Decline
-        col_labels = _column_labels(header, first.count(delimiter) + 1)
-        if not col_labels:  # also when the first data line has no delimiter
-            raise _Decline
-        row_labels: list[str] = []
-
-        def cells() -> Iterator[str]:
-            for line in itertools.chain((first,), lines):
-                if line[0] in "\r\n":
-                    continue  # a blank line, which csv skips
-                label, _, rest = line.partition(delimiter)
-                # csv unquotes a '"' and, before Python 3.11, rejects a NUL;
-                # loadtxt strips \x1f around a number, float() does not
-                if (
-                    rest[:1] in "\r\n"  # also true on "": no delimiter, or no cell after it
-                    or len(line) > limit
-                    or any(char in line for char in '"\0\x1f')
-                ):
-                    raise _Decline
-                if dtype is np.int64 and ("-" in rest or not rest.isascii()):
-                    raise ValueError("not an int64 cell")
-                row_labels.append(label.strip())
-                yield rest
-
-        # Each block of rows is parsed by its own loadtxt call and converted
-        # into one float64 array with a row per line after the header, so an
-        # int64 parse and a float64 copy of it are never held whole at once.
-        width = len(col_labels)
-        counts = np.empty((lines_after_header, width))
-        rows = cells()
-        done = 0
-        while block := list(itertools.islice(rows, max(1, _BLOCK_ELEMENTS // width))):
-            parsed = np.loadtxt(block, delimiter=delimiter, comments=None, dtype=dtype, ndmin=2)
-            if parsed.shape != (len(block), width):  # another number of cells
-                raise _Decline
-            counts[done : done + len(block)] = parsed
-            done += len(block)
-        return row_labels, col_labels, counts if done == len(counts) else counts[:done]
-
-    lines_after_header = (
-        text.count("\n") + text.count("\r") - text.count("\r\n") - (text[-1] in "\r\n")
-    )
-    try:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                result = parse(np.int64)
-        except (ValueError, OverflowError, DeprecationWarning):
-            result = None  # parsed as float64 below, once this parse is freed
-        row_labels, col_labels, counts = result or parse(np.float64)
-    except (_Decline, ValueError):
-        return None
+    row_labels: list[str] = []
+    # a row per line after the header, shrunk to the data rows at the end
+    counts = np.empty((_line_breaks(text) - (text[-1] in "\r\n"), width))
+    # csv skips a blank line
+    rows = (line for line in itertools.chain((first,), lines) if line[0] not in "\r\n")
+    while block := list(itertools.islice(rows, max(1, _BLOCK_ELEMENTS // width))):
+        done = len(row_labels)
+        for k, line in enumerate(block):
+            label, _, block[k] = line.partition(delimiter)  # the line's cells replace it
+            # the first test is also true on "": no delimiter, or no cell after it
+            if block[k][:1] in "\r\n" or len(line) > limit or any(c in line for c in _DECLINED):
+                return None
+            row_labels.append(label.strip())
+        parsed = _parse_block(block, delimiter)
+        if parsed is None or parsed.shape != (len(block), width):  # another number of cells
+            return None
+        counts[done : len(row_labels)] = parsed
+    counts.resize((len(row_labels), width), refcheck=False)  # no view of it exists
     # the comparisons are false on NaN as well
     if not 0 <= counts.min() <= counts.max() < np.inf:
         return None
@@ -659,21 +656,24 @@ def load_table(
     A leading byte-order mark (U+FEFF, as spreadsheet exports write) is
     ignored.
 
-    Cells are read as ``float()`` reads them (surrounding whitespace,
-    ``1_000``, ``+5``, ``1e3`` and non-ASCII digits are accepted).  A table
-    without quotes, and without a line break that `str.splitlines` honours
-    and csv keeps as data, whose cells are all plain decimal numbers, finite
-    and nonnegative, is read in one pass in C (`_read_plain`): as int64,
-    then converted, when no cell holds a ``-`` or a non-ASCII character,
-    else as float64.  Any other text, every malformed one among it, is read
-    from its start by the csv row loop (`_read_rows`): each data row is
-    converted, as it is read, into its row of one preallocated array and
-    checked there, so a row with the wrong number of fields, or with a cell
-    that is not a number, not finite or negative, is rejected before the
-    next row is read, naming its field count or else its first bad cell.
-    Errors therefore follow row order.  Both ways give the same labels and
-    counts.  The size (at least 2x2) is
-    checked next, then all-zero rows and columns.
+    Records end at ``\\r\\n``, ``\\n`` or ``\\r``, where csv ends them, and
+    both readers take their lines from one splitter (`_lines`).  Cells are
+    read as ``float()`` reads them (surrounding whitespace, ``1_000``,
+    ``+5``, ``1e3`` and non-ASCII digits are accepted).  A table whose data
+    lines hold no quote and no line break that `str.splitlines` honours and
+    csv keeps as data, and whose cells are all plain decimal numbers, finite
+    and nonnegative, is read in one walk of the text, in C (`_read_plain`):
+    each block of rows as int64, then converted, when none of its cells
+    holds a ``-`` or a non-ASCII character, else as float64.  Any other
+    text, every malformed one among it, is read from its start by the csv
+    row loop (`_read_rows`): each data row is converted, as it is read,
+    into its row of one preallocated array and checked there, so a row with
+    the wrong number of fields, or with a cell that is not a number, not
+    finite or negative, is rejected before the next row is read, naming its
+    field count or else its first bad cell.  Errors therefore follow row
+    order.  Both ways give the same labels and counts, in an array shrunk
+    in place to the rows read.  The size (at least 2x2) is checked next,
+    then all-zero rows and columns.
 
     Parameters
     ----------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 
@@ -173,3 +174,14 @@ def compensated_sum(values) -> float:
         comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
         total = t
     return total + comp
+
+
+# csv ends a record at \r\n, \n or \r, and keeps every other character,
+# \x0c and \u2028 among them, as data.
+_CSV_LINE = re.compile(r"[^\r\n]*(?:\r\n|\n|\r)|[^\r\n]+\Z")
+
+
+def csv_lines(text: str) -> list:
+    """The lines of ``text``, each with its line break, ending where csv ends a
+    record; one regular expression over the whole text."""
+    return [match.group() for match in _CSV_LINE.finditer(text)]

@@ -22,6 +22,7 @@ from catax import (
     tca_decompose,
 )
 from conftest import random_models, table_from_counts
+from oracles import csv_lines
 
 DIAG = ContingencyTable(("r1", "r2"), ("x", "y"), np.array([[2.0, 0.0], [0.0, 2.0]]))
 
@@ -97,11 +98,25 @@ def row_loop_only(monkeypatch):
 
 @pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
 def test_counts_buffer_one_row_per_line(row_loop_only, newline):
-    # a \r\n is one line break: the buffer the row loop cuts the counts
-    # from, kept alive by the table, has one row per line whatever the line
-    # ending
-    table = load_table(io.StringIO(newline.join(["A,x,y", "r1,2,0", "r2,0,2", ""])))
-    assert table.counts.base.shape == (3, 2)
+    # a \r\n is one line break: the row loop sizes its buffer with one row
+    # per line break, then shrinks it in place to the rows read, so the
+    # table holds no unused rows whatever the line ending
+    text = newline.join(["A,x,y", "r1,2,0", "r2,0,2", ""])
+    assert catax.contingency._line_breaks(text) == 3
+    table = load_table(io.StringIO(text))
+    assert table.counts.flags.owndata
+    assert table.counts.shape == (2, 2)
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast-path", "row-loop"])
+def test_counts_own_their_rows_after_blank_lines(monkeypatch, fast):
+    # eleven line breaks for two data rows: the buffer sized from them is
+    # shrunk, not sliced, so the table keeps no unused rows alive
+    if not fast:
+        monkeypatch.setattr(catax.contingency, "_read_plain", _decline)
+    table = load_table(io.StringIO("A,x,y\n\nr1,1,2\n\n\n\nr2,3,4\n\n\n\n\n\n"))
+    assert table.counts.flags.owndata
+    assert table.counts.shape == (2, 2)
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
@@ -176,6 +191,16 @@ _PATH_CASES = {
         f"line-break-{sep!r}": (f"A,x,y\nr{sep}1,1,2\nr2,3,4\n", True)
         for sep in ["\v", "\f", "\x85", "\u2028", "\u2029"]
     },
+    # csv reads the header, so a line break it keeps as data is fine there
+    **{
+        f"header-only-{sep!r}": (f"A,x{sep}1,y\nr1,1,2\nr2,3,4\n", False)
+        for sep in ["\f", "\u2028"]
+    },
+    # loadtxt reads 1\x1d as 1, float() rejects it
+    **{
+        f"cell-with-{sep!r}": (f"A,x,y\nr1,1{sep},2\nr2,3,4\n", True)
+        for sep in ["\x1d", "\x1e"]
+    },
 }
 
 
@@ -232,20 +257,80 @@ def test_fast_path_matches_row_loop_on_random_tables(monkeypatch):
     assert taken > 1000
 
 
+_CSV_DATA_CHARACTERS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
+_DECIMAL_CELLS = ["1.5", "-0", "1e3", "0.25", "2.", ".5", "-0.0"]
+
+
+def _table_text_with_data_breaks(rng):
+    """A small comma table of integer and decimal counts, with a few
+    characters that str.splitlines ends a line at and csv keeps as data."""
+    J = rng.randint(1, 4)
+    lines = [",".join(["A", *(f"c{j}" for j in range(J))])]
+    for i in range(rng.randint(2, 6)):
+        cells = [
+            rng.choice(_DECIMAL_CELLS) if rng.random() < 0.2 else str(rng.randint(0, 3))
+            for _ in range(J)
+        ]
+        lines.append(",".join([f"r{i}", *cells]))
+    text = rng.choice(["\n", "\r\n", "\r"]).join(lines) + rng.choice(["", "\n"])
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        k = rng.randrange(len(text) + 1)
+        text = text[:k] + rng.choice(_CSV_DATA_CHARACTERS) + text[k:]
+    return text
+
+
 @pytest.mark.parametrize("piece", [1, 2, 3, 5, 8])
 def test_lines_in_pieces_end_where_csv_ends_them(monkeypatch, piece):
-    # however a text that _read_plain reads is cut into pieces,
-    # str.splitlines gives the lines that end at \r\n, \n or \r, each with
-    # its line break
+    # however a text is cut into pieces, _lines gives the lines that end at
+    # \r\n, \n or \r, each with its line break, as csv ends them
     monkeypatch.setattr(catax.contingency, "_PIECE", piece)
     rng = random.Random(piece)
     texts = [_random_table_text(rng) for _ in range(300)]
+    texts += [_table_text_with_data_breaks(rng) for _ in range(300)]
     texts += ["a\r\n\r\nb\rc\n\n\rd", "\r\n" * 5, "\r" * 5 + "x", "x\n\r\r\n"]
+    texts += ["a\fb\n\x85\r\nc\u2028", "\v\v", "x\x1c", "\f\n\f", "\r\u2029\n", "\u2028" * 2]
     for text in texts:
-        if any(sep in text for sep in catax.contingency._SPLITLINES_ONLY):
-            continue
-        expected = [match.group() for match in catax.contingency._LINE.finditer(text)]
-        assert list(catax.contingency._lines(text)) == expected, text
+        assert list(catax.contingency._lines(text)) == csv_lines(text), repr(text)
+
+
+def test_fast_path_matches_row_loop_with_data_breaks_and_decimals(monkeypatch):
+    # small blocks and pieces, so a text spans several of each
+    rng = random.Random(24)
+    taken = 0
+    for _ in range(2000):
+        monkeypatch.setattr(catax.contingency, "_BLOCK_ELEMENTS", rng.randint(1, 8))
+        monkeypatch.setattr(catax.contingency, "_PIECE", rng.randint(1, 8))
+        text = _table_text_with_data_breaks(rng)
+        fast, loop, ran = _both_paths(monkeypatch, text, drop_empty=rng.random() < 0.3)
+        assert fast == loop, repr(text)
+        taken += not ran
+    assert taken > 500
+
+
+@pytest.mark.parametrize("cell", ["1.5", "-0", "1e3"])
+def test_fast_path_reads_each_block_once(monkeypatch, cell):
+    # three integer blocks of two rows, then a block int64 cannot read: the
+    # text is walked once, and only the last block is parsed as float64
+    monkeypatch.setattr(catax.contingency, "_BLOCK_ELEMENTS", 6)
+    text = "A,x,y,z\n" + "".join(f"r{i},{i},1,2\n" for i in range(6)) + f"r6,3,{cell},1\n"
+    lines, loadtxt = catax.contingency._lines, np.loadtxt
+    walks, dtypes = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(catax.contingency, "_lines", lambda text: walks.append(1) or lines(text))
+        patch.setattr(
+            np,
+            "loadtxt",
+            lambda *args, dtype, **kw: dtypes.append(dtype) or loadtxt(*args, dtype=dtype, **kw),
+        )
+        load_table(io.StringIO(text))
+    assert len(walks) == 1
+    # a '-' goes to float64 at once; an int64 parse that fails (or, on numpy
+    # 1.23, warns) is followed by a float64 one
+    last = [np.float64] if cell == "-0" else [np.int64, np.float64]
+    assert dtypes == [np.int64] * 3 + last
+    fast, loop, ran = _both_paths(monkeypatch, text)
+    assert not ran
+    assert fast == loop
 
 
 @pytest.mark.parametrize(
