@@ -86,6 +86,9 @@ class AnalysisConfig:
             raise ValueError("map-axes must be two positive axis numbers")
         if axes[0] == axes[1]:
             raise ValueError("the two map axes must differ")
+        # no decomposition has more than dims axes; the default axes allow --dims 1
+        if self.map_path is not None and max(axes) > self.dims:
+            raise ValueError(f"map axis {max(axes)} exceeds dims {self.dims}")
         object.__setattr__(self, "map_axes", axes)
 
 

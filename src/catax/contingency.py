@@ -18,7 +18,6 @@ import csv
 import itertools
 import logging
 import os
-import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,8 +68,8 @@ _GRAM_MIN_RATIO = 2.0**-12
 # at \r\n, \n or \r.  `_lines` joins a line that ends at one to the next.
 _SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
-# `_read_plain` leaves a data line holding any of these to the row loop: csv
-# unquotes a '"' and, before Python 3.11, rejects a NUL; loadtxt strips
+# `_plain_blocks` leaves a block with a data line holding any of these to csv:
+# csv unquotes a '"' and, before Python 3.11, rejects a NUL; loadtxt strips
 # \x1c-\x1f around a number, float() does not.
 _DECLINED = '"\0\x1f' + _SPLITLINES_ONLY
 
@@ -434,11 +433,10 @@ def standardized_residual(model: CorrespondenceModel) -> np.ndarray:
     return S
 
 
-def _detect_delimiter(sample: str) -> str:
-    first = re.match(r"[^\r\n]*", sample).group()  # csv ends a record at \r or \n
-    counts = {d: first.count(d) for d in _DELIMITERS}
-    best = max(counts, key=counts.get)
-    if counts[best] == 0:
+def _detect_delimiter(line: str) -> str:
+    """The one of ``_DELIMITERS`` that ``line`` holds most often, the first on a tie."""
+    best = max(_DELIMITERS, key=line.count)
+    if best not in line:
         raise InvalidTableError("could not detect a delimiter (comma, semicolon or tab)")
     return best
 
@@ -480,13 +478,6 @@ def _lines(text: str) -> Iterator[str]:
         yield line
 
 
-def _column_labels(header: Sequence[str], width: int) -> list[str] | None:
-    """The header's column labels for data rows of ``width`` fields, or None if it does not fit."""
-    if len(header) not in (width, width - 1):  # with or without a corner cell
-        return None
-    return [label.strip() for label in header[len(header) - width + 1 :]]
-
-
 def _reject_row(
     row: Sequence[str], width: int, label: str, col_labels: Sequence[str]
 ) -> NoReturn:
@@ -512,15 +503,24 @@ def _line_breaks(text: str) -> int:
     return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
-def _read_rows(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndarray]:
-    """Row labels, column labels and counts of ``text``, read by csv one row at a time.
+def _read_rows(text: str, delimiter: str | None) -> tuple[list[str], list[str], np.ndarray]:
+    """Row labels, column labels and counts of ``text``, read in one walk of its lines.
 
-    csv reads the lines of `_lines`, one at a time.  Each data row is
-    converted as it is read and checked there, so the first bad row raises,
-    and errors follow row order.
+    The lines come from one call of `_lines`.  A delimiter of None is
+    detected from the first line (`_detect_delimiter`).  csv reads the
+    header and the first data row, which fix the number of fields and are
+    checked as `load_table` describes.  The data lines after them go to
+    `_plain_blocks`, which reads them in blocks, in C, for as long as it
+    takes them; csv reads on from the first block it does not take, to the
+    end of the text, and never hands back.  Each row csv reads is converted
+    as it is read, into its row of one array, and checked there, so the
+    first bad row raises and errors follow row order.
     """
     # one line at a time: io.StringIO would hold a 4-byte-per-character copy
-    rows = _records(_lines(text), delimiter)
+    lines = _lines(text)
+    head = next(lines)  # the text is not empty
+    delimiter = delimiter or _detect_delimiter(head)
+    rows = _records(itertools.chain((head,), lines), delimiter)
     header = next(rows, None)
     first = next(rows, None)
     if first is None:
@@ -530,11 +530,11 @@ def _read_rows(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndar
             f"delimiter {delimiter!r} does not split data row {first[0]!r} into fields"
         )
     width = len(first)
-    col_labels = _column_labels(header, width)
-    if col_labels is None:
+    if len(header) not in (width, width - 1):  # with or without a corner cell
         raise InvalidTableError(
             f"header has {len(header)} fields but data rows have {width}"
         )
+    col_labels = [label.strip() for label in header[len(header) - width + 1 :]]
 
     # Every csv row but the last ends in a line break, so there are at most
     # as many data rows as line breaks.  Rows are converted as they are read:
@@ -542,15 +542,21 @@ def _read_rows(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndar
     # under the next large allocation on a 590 x 8265 table.
     row_labels: list[str] = []
     counts = np.empty((_line_breaks(text), width - 1))
-    for i, row in enumerate(itertools.chain((first,), rows)):
-        row_labels.append(row[0].strip())
-        try:
-            counts[i] = row[1:]  # numpy parses each str exactly as float() does
-        except ValueError:
-            _reject_row(row, width, row_labels[i], col_labels)
-        # false on NaN as well; a short row may have broadcast into counts[i]
-        if len(row) != width or not 0 <= counts[i].min() <= counts[i].max() < np.inf:
-            _reject_row(row, width, row_labels[i], col_labels)
+
+    def convert(rows: Iterator[list[str]]) -> None:
+        for i, row in enumerate(rows, len(row_labels)):
+            row_labels.append(row[0].strip())
+            try:
+                counts[i] = row[1:]  # numpy parses each str exactly as float() does
+            except ValueError:
+                _reject_row(row, width, row_labels[i], col_labels)
+            # false on NaN as well; a short row may have broadcast into counts[i]
+            if len(row) != width or not 0 <= counts[i].min() <= counts[i].max() < np.inf:
+                _reject_row(row, width, row_labels[i], col_labels)
+
+    convert((first,))
+    declined = _plain_blocks(lines, delimiter, row_labels, counts)
+    convert(_records(itertools.chain(declined, lines), delimiter))
     # shrunk in place, so the table keeps no unused rows; no view of it exists
     counts.resize((len(row_labels), width - 1), refcheck=False)
     return row_labels, col_labels, counts
@@ -578,69 +584,66 @@ def _parse_block(cells: list[str], delimiter: str) -> np.ndarray | None:
     return None
 
 
-def _read_plain(text: str, delimiter: str) -> tuple[list[str], list[str], np.ndarray] | None:
-    """What `_read_rows` returns, for an unquoted table of plain decimal cells.
+def _plain_blocks(
+    lines: Iterator[str], delimiter: str, row_labels: list[str], counts: np.ndarray
+) -> list[str]:
+    """Read the plain data rows at the head of ``lines``, a block at a time.
 
-    The text is walked once, in the lines of `_lines`.  The header is read
-    from them by csv, as `_read_rows` reads it.  Each later line that is not
-    blank is a data row.  Its label is the text before the first delimiter,
-    stripped, and the rest of the data rows is parsed by `numpy.loadtxt`,
-    in C, one block of 1 MB of counts at a time (`_parse_block`, as int64
-    or else as float64, chosen for each block), each block written into its
-    rows of one float64 array that owns its memory.  None, which leaves the
-    text to `_read_rows`, is returned when
+    Each block of ``max(1, _BLOCK_ELEMENTS // width)`` data lines, ``width``
+    being the number of counts per row, is taken from ``lines``, skipping
+    blank lines, as csv does.  A line's label is the text before the first
+    delimiter, stripped, and the block's cells, the rest of its lines, are
+    parsed by `numpy.loadtxt` in C (`_parse_block`, as int64 or else as
+    float64, chosen for each block).  A block is taken, its labels appended
+    to ``row_labels`` and its counts written into the next rows of
+    ``counts``, unless
 
-    - the delimiter is not one of ``_DELIMITERS``;
     - a data line holds a quote, a NUL, ``\\x1f`` or a line break of
       `str.splitlines` that csv keeps as data (``_SPLITLINES_ONLY``:
       ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028``,
       ``\\u2029``), or is longer than csv's field size limit;
     - a data line has no cell after its label;
-    - the header does not fit the first data line;
-    - loadtxt cannot parse a block's cells as float64: a line has not as
-      many cells as the first, or a cell is not a number to loadtxt (it
-      rejects ``1_000`` and non-ASCII digits, which ``float()`` reads);
-    - loadtxt's result for a block has not one row per data line;
+    - loadtxt cannot parse the cells as float64: a line has not as many
+      cells as ``counts`` has columns, or a cell is not a number to loadtxt
+      (it rejects ``1_000`` and non-ASCII digits, which ``float()`` reads);
+    - loadtxt's result has not one row per data line;
     - a count is not finite, or negative.
 
     loadtxt reads every other cell as ``float()`` does, and an int64 goes to
-    the nearest float64 as the decimal does, so a result equals the one of
-    `_read_rows` bit for bit.
+    the nearest float64 as the decimal does, so a block taken holds what
+    csv and ``float()`` would read from it, bit for bit.  Returned are the
+    lines read of the first block not taken, blank ones too, for csv to
+    read before the lines after them, which are still in ``lines``.  At the
+    end of the text they are blank lines or none, and when the delimiter is
+    not one of ``_DELIMITERS`` no line is read and none are returned.
     """
     if delimiter not in _DELIMITERS:
-        return None
-    lines = _lines(text)
-    header = next(_records(lines, delimiter), None)
-    first = next((line for line in lines if line[0] not in "\r\n"), None)
-    if first is None:  # also when there is no header
-        return None
-    col_labels = _column_labels(header, first.count(delimiter) + 1)
-    if not col_labels:  # also when the first data line has no delimiter
-        return None
-    width = len(col_labels)
+        return []
+    size = max(1, _BLOCK_ELEMENTS // counts.shape[1])
     limit = csv.field_size_limit()
-    row_labels: list[str] = []
-    # a row per line after the header, shrunk to the data rows at the end
-    counts = np.empty((_line_breaks(text) - (text[-1] in "\r\n"), width))
-    # csv skips a blank line
-    rows = (line for line in itertools.chain((first,), lines) if line[0] not in "\r\n")
-    while block := list(itertools.islice(rows, max(1, _BLOCK_ELEMENTS // width))):
-        done = len(row_labels)
-        for k, line in enumerate(block):
-            label, _, block[k] = line.partition(delimiter)  # the line's cells replace it
+    while True:
+        block, labels, cells = [], [], []
+        for line in lines:
+            block.append(line)
+            if line[0] in "\r\n":  # csv skips a blank line
+                continue
+            label, _, rest = line.partition(delimiter)
             # the first test is also true on "": no delimiter, or no cell after it
-            if block[k][:1] in "\r\n" or len(line) > limit or any(c in line for c in _DECLINED):
-                return None
-            row_labels.append(label.strip())
-        parsed = _parse_block(block, delimiter)
-        if parsed is None or parsed.shape != (len(block), width):  # another number of cells
-            return None
-        counts[done : len(row_labels)] = parsed
-    counts.resize((len(row_labels), width), refcheck=False)  # no view of it exists
-    # the comparisons are false on NaN as well
-    if not 0 <= counts.min() <= counts.max() < np.inf:
-        return None
-    return row_labels, col_labels, counts
+            if rest[:1] in "\r\n" or len(line) > limit or any(c in line for c in _DECLINED):
+                return block
+            labels.append(label.strip())
+            cells.append(rest)
+            if len(cells) == size:
+                break
+        parsed = _parse_block(cells, delimiter) if cells else None
+        # another shape when a line has another number of cells; the
+        # comparisons are false on NaN as well
+        if parsed is None or parsed.shape != (len(cells), counts.shape[1]) or not (
+            0 <= parsed.min() <= parsed.max() < np.inf
+        ):
+            return block
+        counts[len(row_labels) : len(row_labels) + len(cells)] = parsed
+        row_labels += labels
 
 
 def load_table(
@@ -656,24 +659,25 @@ def load_table(
     A leading byte-order mark (U+FEFF, as spreadsheet exports write) is
     ignored.
 
-    Records end at ``\\r\\n``, ``\\n`` or ``\\r``, where csv ends them, and
-    both readers take their lines from one splitter (`_lines`).  Cells are
-    read as ``float()`` reads them (surrounding whitespace, ``1_000``,
-    ``+5``, ``1e3`` and non-ASCII digits are accepted).  A table whose data
-    lines hold no quote and no line break that `str.splitlines` honours and
-    csv keeps as data, and whose cells are all plain decimal numbers, finite
-    and nonnegative, is read in one walk of the text, in C (`_read_plain`):
-    each block of rows as int64, then converted, when none of its cells
-    holds a ``-`` or a non-ASCII character, else as float64.  Any other
-    text, every malformed one among it, is read from its start by the csv
-    row loop (`_read_rows`): each data row is converted, as it is read,
-    into its row of one preallocated array and checked there, so a row with
-    the wrong number of fields, or with a cell that is not a number, not
-    finite or negative, is rejected before the next row is read, naming its
-    field count or else its first bad cell.  Errors therefore follow row
-    order.  Both ways give the same labels and counts, in an array shrunk
-    in place to the rows read.  The size (at least 2x2) is checked next,
-    then all-zero rows and columns.
+    The text is read by one reader (`_read_rows`) in one walk of its lines
+    (`_lines`), which end at ``\\r\\n``, ``\\n`` or ``\\r``, where csv ends
+    a record.  Cells are read as ``float()`` reads them (surrounding
+    whitespace, ``1_000``, ``+5``, ``1e3`` and non-ASCII digits are
+    accepted).  csv reads the header and the first data row.  After them,
+    each block of data lines that holds no quote and no line break that
+    `str.splitlines` honours and csv keeps as data, and whose cells are all
+    plain decimal numbers, finite and nonnegative, is parsed in C
+    (`_plain_blocks`): as int64, then converted, when none of its cells
+    holds a ``-`` or a non-ASCII character, else as float64.  From the
+    first block that is not, csv reads every row to the end of the text:
+    each data row is converted, as it is read, into its row of one
+    preallocated array and checked there, so a row with the wrong number
+    of fields, or with a cell that is not a number, not finite or
+    negative, is rejected before the next row is read, naming its field
+    count or else its first bad cell.  Errors therefore follow row order.
+    Either way a row gets the same label and counts, bit for bit, in an
+    array shrunk in place to the rows read.  The size (at least 2x2) is
+    checked next, then all-zero rows and columns.
 
     Parameters
     ----------
@@ -707,12 +711,8 @@ def load_table(
     text = text.removeprefix("\ufeff")
     if not text or text.isspace():
         raise InvalidTableError("empty input")
-    if delimiter is None:
-        delimiter = _detect_delimiter(text)
     try:
-        row_labels, col_labels, counts = _read_plain(text, delimiter) or _read_rows(
-            text, delimiter
-        )
+        row_labels, col_labels, counts = _read_rows(text, delimiter)
     except csv.Error as exc:
         raise InvalidTableError(str(exc)) from None
     _check_size(*counts.shape)

@@ -253,10 +253,34 @@ def test_exhaustive_limit_exits_2(tmp_path, capsys):
 
 
 def test_map_axes_out_of_range_exits_2(tmp_path, capsys):
+    # axis 3 is within --dims 3, so only the table's rank 2 rules it out
     path = write_csv(tmp_path, COUNTS)
-    code = main(["--input", path, "--map", str(tmp_path / "m.svg"), "--map-axes", "1,9"])
+    code = main(["--input", path, "--map", str(tmp_path / "m.svg"), "--map-axes", "1,3"])
     assert code == 2
-    assert "out of range" in capsys.readouterr().err
+    assert "error: axis 3 out of range for a 2-axis decomposition" in capsys.readouterr().err
+    assert not (tmp_path / "m.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--map-axes", "1,9"], "map axis 9 exceeds dims 3"),
+        (["--dims", "1"], "map axis 2 exceeds dims 1"),
+    ],
+    ids=["1,9", "dims-1"],
+)
+def test_map_axes_above_dims_exit_1_before_loading(tmp_path, capsys, monkeypatch, flags, message):
+    calls = []
+    monkeypatch.setattr(catax.cli, "load_table", lambda *args, **kwargs: calls.append(args))
+    path = write_csv(tmp_path, COUNTS)
+    assert main(["--input", path, "--map", str(tmp_path / "m.svg"), *flags]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_dims_1_without_map_keeps_default_map_axes(tmp_path, capsys):
+    assert main(["--input", write_csv(tmp_path, COUNTS), "--dims", "1"]) == 0
+    assert "# method=CA" in capsys.readouterr().out
 
 
 def test_map_written_and_prefers_tca(tmp_path, capsys):
@@ -354,6 +378,7 @@ def test_absent_flags_take_config_defaults():
         {"map_axes": (2, 2)},
         {"rel_tol": float("nan")},
         {"rel_tol": float("inf")},
+        {"dims": 1, "map_path": "m.svg"},
     ],
 )
 def test_config_validation(kwargs):

@@ -86,19 +86,19 @@ def test_row_count_independent_of_line_breaks(text):
     assert table.row_labels[1] == "r2"
 
 
-def _decline(text, delimiter):
-    """A `_read_plain` that leaves every text to the csv row loop."""
-    return None
+def _decline(lines, delimiter, row_labels, counts):
+    """A `_plain_blocks` that takes no block and returns its lines, so csv reads every record."""
+    return list(lines)
 
 
 @pytest.fixture
 def row_loop_only(monkeypatch):
-    monkeypatch.setattr(catax.contingency, "_read_plain", _decline)
+    monkeypatch.setattr(catax.contingency, "_plain_blocks", _decline)
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
 def test_counts_buffer_one_row_per_line(row_loop_only, newline):
-    # a \r\n is one line break: the row loop sizes its buffer with one row
+    # a \r\n is one line break: the reader sizes its buffer with one row
     # per line break, then shrinks it in place to the rows read, so the
     # table holds no unused rows whatever the line ending
     text = newline.join(["A,x,y", "r1,2,0", "r2,0,2", ""])
@@ -113,7 +113,7 @@ def test_counts_own_their_rows_after_blank_lines(monkeypatch, fast):
     # eleven line breaks for two data rows: the buffer sized from them is
     # shrunk, not sliced, so the table keeps no unused rows alive
     if not fast:
-        monkeypatch.setattr(catax.contingency, "_read_plain", _decline)
+        monkeypatch.setattr(catax.contingency, "_plain_blocks", _decline)
     table = load_table(io.StringIO("A,x,y\n\nr1,1,2\n\n\n\nr2,3,4\n\n\n\n\n\n"))
     assert table.counts.flags.owndata
     assert table.counts.shape == (2, 2)
@@ -135,66 +135,56 @@ def _outcome(text, **kwargs):
 
 
 def _both_paths(monkeypatch, text, **kwargs):
-    """load_table's outcome with its fast path and with the row loop only.
+    """load_table's outcome with its plain-block reader and with csv alone.
 
-    Also returns whether the row loop ran in the first call.
+    Also returns whether, in the first call, csv read a data record after
+    the first one.
     """
-    read_rows = catax.contingency._read_rows
-    calls = []
+    records, read = catax.contingency._records, []
     with monkeypatch.context() as patch:
         patch.setattr(
             catax.contingency,
-            "_read_rows",
-            lambda *args: calls.append(args) or read_rows(*args),
+            "_records",
+            lambda *args: (read.append(row) or row for row in records(*args)),
         )
         fast = _outcome(text, **kwargs)
     with monkeypatch.context() as patch:
-        patch.setattr(catax.contingency, "_read_plain", _decline)
+        patch.setattr(catax.contingency, "_plain_blocks", _decline)
         loop = _outcome(text, **kwargs)
-    return fast, loop, bool(calls)
+    return fast, loop, len(read) > 2  # the header and the first data record
 
 
-# the cells of test_cells_parse_as_float_does, then a plain table and texts
-# that exercise one decline rule each; the second field says whether the row
-# loop must run
-_PATH_CASES = {
+def _in_second_row(text):
+    """``text`` with a plain data row put before its first one."""
+    header, _, rows = text.partition("\n")
+    return f"{header}\nr0,1,1\n{rows}"
+
+
+# Texts whose defect sits in the first data row, which csv always reads.
+# Each comes again with a plain row before it, so that the plain-block reader
+# meets the defect; the second field says whether csv then reads on past the
+# first data row.  The first texts hold the cells of
+# test_cells_parse_as_float_does.
+_FIRST_ROW_DEFECTS = {
     **{
         f"cell-{cell!r}": (f"A,x,y\nr1,{cell},1\nr2,1,1\n", cell in ("1_000", "\u0663"))
         for cell in [" 3 ", "1_000", "+5", "-0", "1e3", "0.1", "\u0663", "2", "7"]
     },
-    "plain-integers": ("A,x,y\nr1,1,2\nr2,3,4\n", False),
     "quoted-label": ('A,x,y\n"r 1",1,2\nr2,3,4\n', True),
-    "quoted-header": ('"A","x","y"\nr1,1,2\nr2,3,4\n', False),
     "nul-in-label": ("A,x,y\nr\x001,1,2\nr2,3,4\n", True),
-    "byte-order-mark": ("\ufeffA,x,y\nr1,1,2\nr2,3,4", False),
-    "cr-only": ("A,x,y\rr1,1,2\r\rr2,3,4\r", False),
-    "whitespace-line": ("A,x,y\nr1,1,2\n  \nr2,3,4\n", True),
-    "whitespace-line-one-column": ("A,x\nr1,1\nr2, \nr3,2\n", True),
-    "empty-cell-one-column": ("A,x\nr1,1\nr2,\nr3,2\n", True),
     "separator-around-cell": ("A,x,y\nr1,\x1c1,2\nr2,3,4\n", True),
-    "header-too-wide": ("A,x,y,z\nr1,1,2\nr2,3,4\n", True),
-    "pipe-delimiter": ("A|x|y\nr1|1|2\nr2|3|4\n", True),
     "nan": ("A,x,y\nr1,1,nan\nr2,3,4\n", True),
     "overflow": ("A,x,y\nr1,1,1e400\nr2,3,4\n", True),
-    "negative": ("A,x,y\nr1,1,2\nr2,3,-4\n", True),
-    "long-line": ("A,x,y\nr1,1," + "0" * 200_000 + "2\nr2,3,4\n", True),
-    # _outcome compares the counts' bytes, so a -0 read as +0 fails
-    "minus-zero-last-row": ("A,x,y\nr1,1,2\nr2,3,-0\n", False),
+    # csv raises on the long line itself, so it reads no record after the first
+    "long-line": ("A,x,y\nr1,1," + "0" * 200_000 + "2\nr2,3,4\n", False),
     "two-to-53-plus-one": ("A,x,y\nr1,9007199254740993,1\nr2,1,1\n", False),
     "past-int64": ("A,x,y\nr1,1,99999999999999999999\nr2,1,1\n", False),
-    "decimal-last-row": ("A,x,y\nr1,1,2\nr2,3,1.5\n", False),
-    "labels-e-n-minus-dot": ("A,x-e.n,y.n\ne-n.1,1,2\nn.e-2,3,4\n", False),
     "non-ascii-label": ("A,x,y\nGen\u00e8se,1,2\nr2,3,4\n", False),
     # numpy's int64 parser reads U+01FE as a digit
     "non-ascii-cell": ("A,x,y\nr1,1,\u01fe3\nr2,1,1\n", True),
     **{
         f"line-break-{sep!r}": (f"A,x,y\nr{sep}1,1,2\nr2,3,4\n", True)
         for sep in ["\v", "\f", "\x85", "\u2028", "\u2029"]
-    },
-    # csv reads the header, so a line break it keeps as data is fine there
-    **{
-        f"header-only-{sep!r}": (f"A,x{sep}1,y\nr1,1,2\nr2,3,4\n", False)
-        for sep in ["\f", "\u2028"]
     },
     # loadtxt reads 1\x1d as 1, float() rejects it
     **{
@@ -203,13 +193,44 @@ _PATH_CASES = {
     },
 }
 
+# a plain table and texts that exercise one decline rule or one error each;
+# the second field says whether csv reads a data record after the first
+_PATH_CASES = {
+    **{name: (text, False) for name, (text, _) in _FIRST_ROW_DEFECTS.items()},
+    **{
+        f"{name}-second-row": (_in_second_row(text), csv_reads_on)
+        for name, (text, csv_reads_on) in _FIRST_ROW_DEFECTS.items()
+    },
+    "plain-integers": ("A,x,y\nr1,1,2\nr2,3,4\n", False),
+    "quoted-header": ('"A","x","y"\nr1,1,2\nr2,3,4\n', False),
+    "byte-order-mark": ("\ufeffA,x,y\nr1,1,2\nr2,3,4", False),
+    "cr-only": ("A,x,y\rr1,1,2\r\rr2,3,4\r", False),
+    "whitespace-line": ("A,x,y\nr1,1,2\n  \nr2,3,4\n", True),
+    "whitespace-line-one-column": ("A,x\nr1,1\nr2, \nr3,2\n", True),
+    "empty-cell-one-column": ("A,x\nr1,1\nr2,\nr3,2\n", True),
+    "short-second-row": ("A,x,y\nr1,1,2\nr2,3\nr3,1,1\n", True),
+    "long-second-row": ("A,x,y\nr1,1,2\nr2,3,4,5\nr3,1,1\n", True),
+    "header-too-wide": ("A,x,y,z\nr1,1,2\nr2,3,4\n", False),
+    "pipe-delimiter": ("A|x|y\nr1|1|2\nr2|3|4\n", True),
+    "negative": ("A,x,y\nr1,1,2\nr2,3,-4\n", True),
+    # _outcome compares the counts' bytes, so a -0 read as +0 fails
+    "minus-zero-last-row": ("A,x,y\nr1,1,2\nr2,3,-0\n", False),
+    "decimal-last-row": ("A,x,y\nr1,1,2\nr2,3,1.5\n", False),
+    "labels-e-n-minus-dot": ("A,x-e.n,y.n\ne-n.1,1,2\nn.e-2,3,4\n", False),
+    # csv reads the header, so a line break it keeps as data is fine there
+    **{
+        f"header-only-{sep!r}": (f"A,x{sep}1,y\nr1,1,2\nr2,3,4\n", False)
+        for sep in ["\f", "\u2028"]
+    },
+}
 
-@pytest.mark.parametrize("text, loop_runs", _PATH_CASES.values(), ids=_PATH_CASES)
-def test_both_paths_agree(monkeypatch, text, loop_runs):
+
+@pytest.mark.parametrize("text, csv_reads_on", _PATH_CASES.values(), ids=_PATH_CASES)
+def test_both_paths_agree(monkeypatch, text, csv_reads_on):
     delimiter = "|" if "|" in text else None
     fast, loop, ran = _both_paths(monkeypatch, text, delimiter=delimiter)
     assert fast == loop
-    assert ran == loop_runs
+    assert ran == csv_reads_on
 
 
 _ODD_CELLS = [
@@ -309,10 +330,11 @@ def test_fast_path_matches_row_loop_with_data_breaks_and_decimals(monkeypatch):
 
 @pytest.mark.parametrize("cell", ["1.5", "-0", "1e3"])
 def test_fast_path_reads_each_block_once(monkeypatch, cell):
-    # three integer blocks of two rows, then a block int64 cannot read: the
-    # text is walked once, and only the last block is parsed as float64
+    # csv reads r0, then come three integer blocks of two rows and a block
+    # int64 cannot read: the text is walked once, and only the last block is
+    # parsed as float64
     monkeypatch.setattr(catax.contingency, "_BLOCK_ELEMENTS", 6)
-    text = "A,x,y,z\n" + "".join(f"r{i},{i},1,2\n" for i in range(6)) + f"r6,3,{cell},1\n"
+    text = "A,x,y,z\n" + "".join(f"r{i},{i},1,2\n" for i in range(7)) + f"r7,3,{cell},1\n"
     lines, loadtxt = catax.contingency._lines, np.loadtxt
     walks, dtypes = [], []
     with monkeypatch.context() as patch:
@@ -333,6 +355,30 @@ def test_fast_path_reads_each_block_once(monkeypatch, cell):
     assert fast == loop
 
 
+def test_quoted_label_in_last_block_read_in_one_walk(monkeypatch):
+    # csv reads r0, loadtxt the blocks r1-r2 and r3-r4, and csv reads on from
+    # the last block, whose label r 5 is quoted, without a second walk
+    monkeypatch.setattr(catax.contingency, "_BLOCK_ELEMENTS", 6)
+    text = "A,x,y,z\n" + "".join(f"r{i},{i},1,2\n" for i in range(5)) + '"r 5",3,1,1\nr6,1,2,3\n'
+    lines, parse_block = catax.contingency._lines, catax.contingency._parse_block
+    walks, parsed = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(catax.contingency, "_lines", lambda text: walks.append(1) or lines(text))
+        patch.setattr(
+            catax.contingency,
+            "_parse_block",
+            lambda cells, delimiter: parsed.append(cells) or parse_block(cells, delimiter),
+        )
+        table = load_table(io.StringIO(text))
+    assert len(walks) == 1
+    assert parsed == [["1,1,2\n", "2,1,2\n"], ["3,1,2\n", "4,1,2\n"]]
+    with monkeypatch.context() as patch:
+        patch.setattr(catax.contingency, "_plain_blocks", _decline)
+        csv_only = load_table(io.StringIO(text))
+    assert table.row_labels == csv_only.row_labels == (*(f"r{i}" for i in range(5)), "r 5", "r6")
+    assert table.counts.tobytes() == csv_only.counts.tobytes()
+
+
 @pytest.mark.parametrize(
     "text, row_labels, col_labels",
     [
@@ -345,8 +391,17 @@ def test_fast_path_reads_each_block_once(monkeypatch, cell):
         ("A,x,y\rr1,2,0\rr2,0,2\r", ("r1", "r2"), ("x", "y")),
         ('A,x,y\r"r\r1",2,0\rr2,0,2', ("r\r1", "r2"), ("x", "y")),
         ("A,x,y\nr1,2,0\nr2,0,2", ("r1", "r2"), ("x", "y")),
+        # csv reads on from the second row, blank line and all
+        ('A,x,y\nr1,2,0\n"r\n\n2",0,2\n', ("r1", "r\n\n2"), ("x", "y")),
     ],
-    ids=["quoted-newline", "formfeed-and-line-separator", "cr-only", "quoted-cr", "no-final-break"],
+    ids=[
+        "quoted-newline",
+        "formfeed-and-line-separator",
+        "cr-only",
+        "quoted-cr",
+        "no-final-break",
+        "quoted-blank-line-second-row",
+    ],
 )
 def test_lines_end_where_csv_ends_them(text, row_labels, col_labels):
     # records end at \r\n, \n or \r outside quotes; \x0c and \u2028, which
@@ -575,12 +630,17 @@ def test_quoted_line_breaks_kept_when_loaded_by_path(tmp_path):
 
 
 def test_crlf_plain_table_loaded_by_path_takes_fast_path(tmp_path, monkeypatch):
+    # csv reads the header and r1; loadtxt reads r2
     path = tmp_path / "t.csv"
     path.write_bytes(b"A,x,y\r\nr1,2,0\r\nr2,0,3\r\n")
-    calls = []
-    monkeypatch.setattr(catax.contingency, "_read_rows", lambda *args: calls.append(args))
+    parse_block, parsed = catax.contingency._parse_block, []
+    monkeypatch.setattr(
+        catax.contingency,
+        "_parse_block",
+        lambda cells, delimiter: parsed.append(cells) or parse_block(cells, delimiter),
+    )
     table = load_table(path)
-    assert calls == []
+    assert parsed == [["0,3\r\n"]]
     assert table.row_labels == ("r1", "r2")
     np.testing.assert_array_equal(table.counts, [[2, 0], [0, 3]])
 
