@@ -3,13 +3,16 @@
 Exit codes: 0 success, 1 parse/validation failure or an unreadable input or
 unwritable map file, 2 numerical failure.
 A residual exhausted below the requested number of dimensions is a warning,
-not an error.
+not an error.  Every warning is a `logging` record under the ``catax``
+logger; for the length of a `run` a handler prints each one to stderr as
+``warning: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -38,6 +41,8 @@ from .svgmap import emit_map
 from .tca import _STRATEGIES, tca_decompose
 
 __all__ = ["AnalysisConfig", "build_parser", "run", "main"]
+
+logger = logging.getLogger(__name__)
 
 _METHODS = ("ca", "tca", "both")
 _AXES = (ROWS, COLS, "both")
@@ -94,13 +99,16 @@ class AnalysisConfig:
 
 def run(config: AnalysisConfig) -> int:
     """Execute one analysis; report to stdout, diagnostics to stderr."""
-    if config.map_path is not None:
-        # fail before the analysis, not after it, when the map cannot be written there
-        folder = os.path.dirname(config.map_path) or os.curdir
-        if not os.path.isdir(folder):
-            print(f"error: map directory {folder!r} does not exist", file=sys.stderr)
-            return 1
+    # the stderr of this call, so that a caller's redirection captures it
+    notices = logging.StreamHandler(sys.stderr)
+    notices.setFormatter(logging.Formatter("warning: %(message)s"))
+    logging.getLogger("catax").addHandler(notices)
     try:
+        if config.map_path is not None:
+            # fail before the analysis, not after it, when the map cannot be written there
+            folder = os.path.dirname(config.map_path) or os.curdir
+            if not os.path.isdir(folder):
+                raise FileNotFoundError(f"map directory {folder!r} does not exist")
         table = load_table(
             config.input_path, drop_empty=config.drop_empty, delimiter=config.delimiter
         )
@@ -110,15 +118,9 @@ def run(config: AnalysisConfig) -> int:
         rank = numerical_rank(model)
         n_dims = min(config.dims, rank)
         if rank == 0:
-            print(
-                "warning: residual rank is 0 (independence table); nothing to decompose",
-                file=sys.stderr,
-            )
+            logger.warning("residual rank is 0 (independence table); nothing to decompose")
         elif n_dims < config.dims:
-            print(
-                f"warning: requested dims {config.dims} exceeds rank {rank}; using {n_dims}",
-                file=sys.stderr,
-            )
+            logger.warning("requested dims %d exceeds rank %d; using %d", config.dims, rank, n_dims)
         axes = [ROWS, COLS] if config.axis == "both" else [config.axis]
         methods = ["ca", "tca"] if config.method == "both" else [config.method]
 
@@ -135,7 +137,7 @@ def run(config: AnalysisConfig) -> int:
                     restarts=config.restarts,
                     seed=config.seed,
                 )
-            if dec.k == 0:  # rank 0, or the residual ran out at once (TCA warned)
+            if dec.k == 0:  # rank 0, or the residual ran out at once (TCA logged it)
                 continue
             bounds = None
             if method == "tca":
@@ -149,13 +151,12 @@ def run(config: AnalysisConfig) -> int:
             if map_dec is None:
                 raise ValueError("no axes extracted; cannot draw a factor map")
             emit_map(map_dec, config.map_axes, config.map_path)
-    # bad input or an unwritable map; before ValueError, which InvalidTableError is
-    except (InvalidTableError, OSError) as exc:
+    except (OSError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # bad input or an unwritable map; the rest, numerical failures
+        return 1 if isinstance(exc, (InvalidTableError, OSError)) else 2
+    finally:
+        logging.getLogger("catax").removeHandler(notices)
 
     _emit(config, spar, blocks)
     return 0

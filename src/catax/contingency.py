@@ -21,7 +21,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterator, NoReturn, Sequence
+from typing import IO, Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -103,6 +103,20 @@ def _row_blocks(I: int, J: int) -> Iterator[slice]:
     """Slices of consecutive rows of an ``(I, J)`` array, ``_BLOCK_ELEMENTS`` per block."""
     rows = max(1, _BLOCK_ELEMENTS // J)
     return (slice(b, b + rows) for b in range(0, I, rows))
+
+
+def _sum_row_blocks(shape: tuple[int, int], block_total: Callable[[slice], float]) -> float:
+    """``block_total(b)`` summed over the `_row_blocks` ``b`` of ``shape``.
+
+    The totals are added one by one, in order, not by ``sum()``, which is
+    compensated for floats from Python 3.12 on.  So a sum over the blocks
+    has the same bits on every version and from every caller: the first
+    TCA residual's ``sum|R|`` equals the total dispersion bit for bit.
+    """
+    total = 0.0
+    for b in _row_blocks(*shape):
+        total += block_total(b)
+    return total
 
 
 def _residual(

@@ -27,7 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .contingency import ROWS, CorrespondenceModel, _check_axis, _freeze, _residual, _row_blocks
+from .contingency import (
+    ROWS, CorrespondenceModel, _check_axis, _freeze, _residual, _row_blocks, _sum_row_blocks,
+)
 from .decomposition import CA, TCA, FactorDecomposition
 
 __all__ = [
@@ -186,13 +188,14 @@ def ca_total_inertia(model: CorrespondenceModel) -> float:
     average of squared column distances, and ``sum(deltas**2)`` of the full
     decomposition.  Summed over row blocks, so no table-sized array is made.
     """
-    total = 0.0
-    for b in _row_blocks(*model.shape):
+
+    def block_total(b: slice) -> float:
         terms = _residual(model.P[b], model.r[b], model.c)
         terms **= 2
         terms /= np.outer(model.r[b], model.c)
-        total += float(terms.sum())
-    return total
+        return float(terms.sum())
+
+    return _sum_row_blocks(model.shape, block_total)
 
 
 def tca_total_dispersion(model: CorrespondenceModel) -> float:
@@ -205,12 +208,12 @@ def tca_total_dispersion(model: CorrespondenceModel) -> float:
     equals that step's first-axis ``sum|R|``), and no table-sized array is
     made.
     """
-    total = 0.0
-    for b in _row_blocks(*model.shape):
+
+    def block_total(b: slice) -> float:
         D = _residual(model.P[b], model.r[b], model.c)
-        total += float(np.abs(D, out=D).sum())
-        del D  # one block at a time: not held while the next is formed
-    return total
+        return float(np.abs(D, out=D).sum())
+
+    return _sum_row_blocks(model.shape, block_total)
 
 
 def classify(

@@ -32,15 +32,15 @@ distances and the total dispersion are in `catax.distortion`.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contingency import CorrespondenceModel, _freeze, _row_blocks
+from .contingency import CorrespondenceModel, _freeze, _row_blocks, _sum_row_blocks
 from .decomposition import TCA, FactorDecomposition, assemble, numerical_rank, resolve_k
 
 __all__ = [
@@ -54,6 +54,8 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 20
 
 _STRATEGIES = ("auto", "exhaustive", "iterative")
+
+logger = logging.getLogger(__name__)
 
 # Principal values below this are treated as an exhausted residual.
 _DELTA_FLOOR = 1e-12
@@ -395,12 +397,8 @@ def _iterative_step(
     """`tsvd_step_iterative` of ``R`` with its starts from ``G`` (see
     `_start_signs`), and ``R u``."""
     I, J = R.shape
-    # summed in row blocks, so no temporary the size of the residual is made
-    # and added in order, as tca_total_dispersion adds them: sum() of floats
-    # is compensated from Python 3.12 on
-    total = 0.0
-    for b in _row_blocks(I, J):
-        total += float(np.abs(R[b]).sum())
+    # as tca_total_dispersion sums it, with no temporary the size of R
+    total = _sum_row_blocks(R.shape, lambda b: float(np.abs(R[b]).sum()))
     starts = _start_signs(R, G, min(10, I, J)) if total > 0 else np.empty((0, J))
     rng = np.random.default_rng(seed)
     U = np.vstack((starts, rng.integers(0, 2, size=(restarts, J)) * 2.0 - 1.0)).T
@@ -477,15 +475,14 @@ def tca_decompose(
         (whatever the strategy), or "exhaustive" forced on a table above the
         enumeration limit.
 
-    Warns
-    -----
-    RuntimeWarning
-        When the residual is exhausted (``delta < 1e-12``) before ``k`` axes;
-        the decomposition is truncated rather than failing, and still
-        carries the model's numerical ``rank``.
-
     Notes
     -----
+    When the residual is exhausted (``delta < 1e-12``) before ``k`` axes,
+    the decomposition is truncated rather than failing, and still carries
+    the model's numerical ``rank``.  The ``catax.tca`` logger then records
+    the warning "residual exhausted after <n> axes (<k> requested);
+    truncating".
+
     The extracted ``deltas`` follow extraction order and are not always
     non-increasing: deflation is an oblique projection, and the deflated
     residual's maximum can exceed its predecessor's even at certified global
@@ -526,11 +523,7 @@ def tca_decompose(
                 formed = np.trace(G)
             step, Ru = _iterative_step(R, G, restarts, seed_seq.spawn(1)[0])
         if step.delta < _DELTA_FLOOR:
-            warnings.warn(
-                f"residual exhausted after {alpha} axes ({k} requested); truncating",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            logger.warning("residual exhausted after %d axes (%d requested); truncating", alpha, k)
             break
         vR = step.v @ R
         deltas[alpha] = step.delta

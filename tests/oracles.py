@@ -8,6 +8,25 @@ import re
 import numpy as np
 
 
+def lifted_zipf_counts(seed: int) -> np.ndarray:
+    """A sparse 60 x 800 Poisson table with rank-4 structure, all-zero lines dropped.
+
+    Column weights follow Zipf's law (``1/j``, shuffled), row weights are
+    lognormal, and a rank-4 log-linear lift ``exp(0.6 A B^T / 2)`` ties rows
+    to columns; the mean is scaled to 3000 counts in all.
+    """
+    rng = np.random.default_rng(seed)
+    col = 1.0 / np.arange(1, 801)
+    rng.shuffle(col)
+    row = rng.lognormal(0.0, 0.5, 60)
+    A = rng.standard_normal((60, 4))
+    B = rng.standard_normal((800, 4))
+    mu = np.outer(row, col) * np.exp(0.6 * A @ B.T / 2)
+    mu *= 3000 / mu.sum()
+    counts = rng.poisson(mu).astype(float)
+    return counts[np.ix_(counts.any(axis=1), counts.any(axis=0))]
+
+
 def brute_delta1(R: np.ndarray) -> float:
     """Global max of ``||R u||_1`` by full enumeration of sign classes."""
     M = R if R.shape[1] <= R.shape[0] else R.T

@@ -1,6 +1,7 @@
 """CLI behavior: output formats, exit codes, warnings, determinism."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import catax.cli
+import catax.tca
 from catax import AnalysisConfig, main
 from catax.cli import build_parser
 from test_tca import check_tca_invariants
@@ -114,6 +116,82 @@ def test_zero_row_exits_1_without_drop_empty(tmp_path, capsys):
     assert main(["--input", path, "--drop-empty"]) == 0
     captured = capsys.readouterr()
     assert "# method=CA" in captured.out
+
+
+ZERO_ROW_TEXT = "A,x,y,z\nr1,5,1,2\nr2,0,0,0\nr3,2,2,7\nr4,1,6,2\n"
+ZERO_ROW_NOTICES = (
+    "warning: dropping all-zero row(s): r2\nwarning: requested dims 3 exceeds rank 2; using 2\n"
+)
+
+
+def write_text(tmp_path, text, name="table.csv"):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_dropped_row_notice_on_stderr(tmp_path, capsys):
+    # a record of catax.contingency, printed by the run's own handler even
+    # where a handler on the root logger (here pytest's) takes records too
+    assert main(["--input", write_text(tmp_path, ZERO_ROW_TEXT), "--drop-empty"]) == 0
+    assert capsys.readouterr().err == ZERO_ROW_NOTICES
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A,x,y,z\nr1,5,1,2\nr2,1,6,2\nr3,2,2,7\n",
+        'A,"x 1",y,z\n"r 1",5,1,2\n"r 2",1,6,2\n"r 3",2,2,7\n',  # no loadtxt block
+    ],
+    ids=["loadtxt", "csv"],
+)
+def test_truncation_notice_on_every_run(tmp_path, capsys, monkeypatch, text):
+    # the same notice from three runs in one process: a warnings registry
+    # would print it on the first run only
+    path = write_text(tmp_path, text)
+    monkeypatch.setattr(catax.tca, "_DELTA_FLOOR", 1e9)
+    notice = "warning: residual exhausted after 0 axes (2 requested); truncating"
+    for _ in range(3):
+        assert main(["--input", path]) == 0
+        err = capsys.readouterr().err
+        assert err == f"warning: requested dims 3 exceeds rank 2; using 2\n{notice}\n"
+
+
+def test_run_leaves_catax_handlers_as_it_found_them(tmp_path, capsys, monkeypatch):
+    package = logging.getLogger("catax")
+    during = []
+
+    def spy(*args, _real=catax.cli.load_table, **kwargs):
+        during.append(list(package.handlers))
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(catax.cli, "load_table", spy)
+    zero_row_rank_zero = write_text(tmp_path, "A,x,y\nr1,1,2\nr2,0,0\nr3,2,4\n", "rank0.csv")
+    map_path = str(tmp_path / "m.svg")
+    runs = [
+        (["--input", write_text(tmp_path, ZERO_ROW_TEXT, "zero_row.csv"), "--drop-empty"], 0,
+         ZERO_ROW_NOTICES),
+        (["--input", write_csv(tmp_path, COUNTS), "--map", str(tmp_path / "absent" / "m.svg")], 1,
+         f"error: map directory {str(tmp_path / 'absent')!r} does not exist\n"),
+        (["--input", write_text(tmp_path, "A,x,y\nr1,1\nr2,3,4\n", "short.csv")], 1,
+         "error: header has 3 fields but data rows have 2\n"),
+        (["--input", zero_row_rank_zero, "--drop-empty", "--map", map_path], 2,
+         "warning: dropping all-zero row(s): r2\n" + RANK_ZERO_WARNING
+         + "error: no axes extracted; cannot draw a factor map\n"),
+    ]
+    sentinel = logging.NullHandler()
+    package.addHandler(sentinel)
+    try:
+        for argv, code, err in runs:
+            before = list(package.handlers)
+            assert main(argv) == code
+            assert capsys.readouterr().err == err
+            assert package.handlers == before
+    finally:
+        package.removeHandler(sentinel)
+    # the three runs that load a table did so with their own handler attached
+    assert len(during) == 3
+    assert all(len(handlers) == 2 and handlers[0] is sentinel for handlers in during)
 
 
 def test_bad_flag_value_exits_1(tmp_path):

@@ -35,7 +35,7 @@ from catax import (
 )
 from catax.contingency import _row_blocks
 from conftest import random_models, table_from_counts
-from oracles import block_sum
+from oracles import block_sum, lifted_zipf_counts
 
 
 def test_classify_published_pairs():
@@ -400,3 +400,22 @@ def test_bounds_random_full_rank(models30):
                 assert bounds.upper == 1
             else:
                 assert bounds.upper >= 2
+
+
+def test_high_dimensional_ca_contracts_and_tca_stretches():
+    # The paper's headline on a sparse table of rank 59 with rank-4
+    # structure: in high dimension CA distortions are contractions, while
+    # TCA's are contractions or stretchings.  TCA takes criss-cross here.
+    model = build_model(table_from_counts(lifted_zipf_counts(2)))
+    assert min(model.shape) > catax.EXHAUSTIVE_LIMIT
+    ca = ca_decompose(model, k=4)
+    tca = tca_decompose(model, k=4)
+    for axis in (ROWS, COLS):
+        report = distortion_report(model, ca, axis, [1, 2, 3, 4])
+        assert not (report.classification == STRETCHING).any()
+        report = distortion_report(model, tca, axis, [4])
+        assert (report.classification == STRETCHING).any()
+    total = tca_total_dispersion(model)
+    assert tca.deltas[0] <= total
+    bounds = intrinsic_dimension_bounds(tca.deltas, total)
+    assert bounds.lower <= bounds.upper

@@ -1,9 +1,12 @@
 import itertools
+import logging
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import catax.contingency
 import catax.tca
 from catax import (
     COLS,
@@ -792,21 +795,29 @@ def test_nonmonotone_deltas_regression():
     assert dec.deltas[0] == pytest.approx(brute_delta1(model.D), abs=1e-12)
 
 
-def test_truncation_warns(monkeypatch):
+def truncation_notices(caplog) -> list:
+    return [r.getMessage() for r in caplog.records if r.name == "catax.tca"]
+
+
+def test_truncation_warns(monkeypatch, caplog):
     model = random_models(1, seed=13)[0]
     monkeypatch.setattr(catax.tca, "_DELTA_FLOOR", 0.5)
-    with pytest.warns(RuntimeWarning, match="residual exhausted"):
+    with caplog.at_level(logging.WARNING, logger="catax.tca"):
         dec = tca_decompose(model)
+    [notice] = truncation_notices(caplog)
+    assert re.search("residual exhausted", notice)
     assert dec.k < dec.rank
 
 
-def test_truncation_keeps_rank_and_first_axis(models30, monkeypatch):
+def test_truncation_keeps_rank_and_first_axis(models30, monkeypatch, caplog):
     model = models30[1]
     full = tca_decompose(model)
     assert full.deltas[1] < full.deltas[0]
     monkeypatch.setattr(catax.tca, "_DELTA_FLOOR", (full.deltas[0] + full.deltas[1]) / 2)
-    with pytest.warns(RuntimeWarning, match="residual exhausted after 1 axes"):
+    with caplog.at_level(logging.WARNING, logger="catax.tca"):
         dec = tca_decompose(model)
+    [notice] = truncation_notices(caplog)
+    assert re.search("residual exhausted after 1 axes", notice)
     assert dec.k == 1 and dec.rank == full.rank
     assert dec.row_scores.shape == (model.shape[0], 1)
     assert dec.col_scores.shape == (model.shape[1], 1)
@@ -907,7 +918,8 @@ def test_total_dispersion_is_the_iterative_first_axis_sum(models30, monkeypatch)
 
 def test_iterative_window_does_not_depend_on_the_sum_builtin(monkeypatch):
     # sum() of floats is compensated from Python 3.12 on; the step adds its
-    # block totals in order, as tca_total_dispersion does, on every version
+    # block totals in order through _sum_row_blocks, as tca_total_dispersion
+    # does, on every version
     windows = []
 
     def spy(R, U, tol, _real=catax.tca._criss_cross):
@@ -915,7 +927,7 @@ def test_iterative_window_does_not_depend_on_the_sum_builtin(monkeypatch):
         return _real(R, U, tol)
 
     monkeypatch.setattr(catax.tca, "_criss_cross", spy)
-    monkeypatch.setattr(catax.tca, "sum", compensated_sum, raising=False)
+    monkeypatch.setattr(catax.contingency, "sum", compensated_sum, raising=False)
     counts = np.random.default_rng(1).poisson(0.5, size=(200, 3000)).astype(float)
     counts[:, 0] += 1  # no empty row
     counts[0] += 1  # no empty column
@@ -924,7 +936,8 @@ def test_iterative_window_does_not_depend_on_the_sum_builtin(monkeypatch):
     blocks = [float(np.abs(D[b]).sum()) for b in _row_blocks(*D.shape)]
     assert compensated_sum(blocks) != block_sum(blocks)  # the case that tells them apart
     tca_decompose(model, k=1, strategy="iterative", restarts=1)
-    assert windows == [catax.tca._SHORTLIST_RTOL * tca_total_dispersion(model)]
+    assert windows == [catax.tca._SHORTLIST_RTOL * block_sum(blocks)]
+    assert tca_total_dispersion(model) == block_sum(blocks)
 
 
 @pytest.mark.parametrize("restarts", [0, -5])
