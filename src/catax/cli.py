@@ -5,7 +5,8 @@ unwritable map file, 2 numerical failure.
 A residual exhausted below the requested number of dimensions is a warning,
 not an error.  Every warning is a `logging` record under the ``catax``
 logger; for the length of a `run` a handler prints each one to stderr as
-``warning: <message>``.
+``warning: <message>``, and the ``catax`` logger does not pass it on to the
+root logger, so a host's own logging configuration does not print it again.
 """
 
 from __future__ import annotations
@@ -102,7 +103,9 @@ def run(config: AnalysisConfig) -> int:
     # the stderr of this call, so that a caller's redirection captures it
     notices = logging.StreamHandler(sys.stderr)
     notices.setFormatter(logging.Formatter("warning: %(message)s"))
-    logging.getLogger("catax").addHandler(notices)
+    package = logging.getLogger("catax")
+    package.addHandler(notices)
+    propagate, package.propagate = package.propagate, False  # printed once, here
     try:
         if config.map_path is not None:
             # fail before the analysis, not after it, when the map cannot be written there
@@ -156,7 +159,8 @@ def run(config: AnalysisConfig) -> int:
         # bad input or an unwritable map; the rest, numerical failures
         return 1 if isinstance(exc, (InvalidTableError, OSError)) else 2
     finally:
-        logging.getLogger("catax").removeHandler(notices)
+        package.removeHandler(notices)
+        package.propagate = propagate
 
     _emit(config, spar, blocks)
     return 0

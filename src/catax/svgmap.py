@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import re
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -27,10 +26,20 @@ _MARGIN = 70
 _NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
+# The escapes of XML character data, those xml.sax.saxutils.escape makes; that
+# module's import pulls in urllib.request, http.client and email.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
+
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped as XML character data."""
+    return text.translate(_ESCAPES)
+
+
 def _label(text: str) -> str:
     """``text`` escaped as XML character data, each code point XML forbids
     replaced by U+FFFD."""
-    return escape(_NOT_XML_CHAR.sub("\ufffd", text))
+    return _escape(_NOT_XML_CHAR.sub("\ufffd", text))
 
 
 def _scale(lo: float, hi: float, size: int) -> tuple[float, float]:
@@ -89,7 +98,7 @@ def emit_map(
         f'<line x1="{px(0.0):.2f}" y1="{_MARGIN}" x2="{px(0.0):.2f}" y2="{_HEIGHT - _MARGIN}" '
         'stroke="#999999" stroke-dasharray="4 3"/>',
     ]
-    method = escape(dec.method)
+    method = _escape(dec.method)
     parts.append(
         f'<text x="{_MARGIN}" y="{_MARGIN - 40}" font-size="14">'
         f"{method} factor map (rows: filled circles, columns: open squares)</text>"
@@ -98,11 +107,11 @@ def emit_map(
     caption_y = f"axis {b} (delta={dec.deltas[b - 1]:.4f})"
     parts.append(
         f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 20}" text-anchor="middle">'
-        f"{escape(caption_x)}</text>"
+        f"{_escape(caption_x)}</text>"
     )
     parts.append(
         f'<text x="20" y="{_HEIGHT // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 20 {_HEIGHT // 2})">{escape(caption_y)}</text>'
+        f'transform="rotate(-90 20 {_HEIGHT // 2})">{_escape(caption_y)}</text>'
     )
     for i, label in enumerate(dec.row_labels):
         x, y = px(float(fx[i])), py(float(fy[i]))

@@ -10,12 +10,14 @@ successive axes conjugate (``sum_i f_alpha(i) sign(f_beta(i)) r_i = 0`` for
 
 The maximization is combinatorial.  Below the exhaustive threshold the global
 optimum is found by enumerating the 2^(m-1) sign classes of the smaller axis,
-m <= ``EXHAUSTIVE_LIMIT``.  A float32 screen scores every class of the n x m
-matrix (n the larger side), scaled exactly by a power of two so that its
-largest entry lies in [0.5, 1), with O(n * 2^(m-1)) additions by a
-meet-in-the-middle split of each sign vector, and keeps the classes within a
-window of the best, relative to ``sum|R|`` and proven wider than twice the
-screen's rounding (about (n + 2) * 2^-23).  The screen's blocks run on one
+m <= ``EXHAUSTIVE_LIMIT``.  An integer screen scores every class of the n x m
+matrix (n the larger side) with O(n * 2^(m-1)) additions by a
+meet-in-the-middle split of each sign vector, in int16 fixed point: the two
+halves' partial sums are rounded to multiples of a power-of-two step h, set
+so that no int16 sum over a chunk of points can overflow, and the integer
+sums are exact.  Rounding moves a class's score by at most n * h, so the
+screen keeps the classes within a window of 2 n h (and float64 terms) of the
+best, which provably holds every finalist.  The screen's blocks run on one
 worker thread per CPU, its partial sums are formed by ``np.einsum`` rather
 than BLAS, and each score is the same at any CPU count.  Larger problems use
 criss-cross ascent (``v <- sign(R u)``, ``u <- sign(R^T v)``; Choulakian,
@@ -64,10 +66,10 @@ _DELTA_FLOOR = 1e-12
 # between a float64 bulk score and the one-by-one re-score of the same
 # candidate, about (I + J) * 2^-53 * sum|M|, so every re-scored maximizer is
 # a finalist; being relative, it holds on near-independent tables without
-# making every candidate a finalist.  The float32 screen of the enumeration
-# uses its own bound, about (n + 2) * 2^-23 for an n x m matrix, far above
-# this fraction, which stays a floor there only so tests can raise it.  The
-# same fraction of sum|R| bounds the rounding that criss-cross may show as a
+# making every candidate a finalist.  The integer screen of the enumeration
+# widens its own window, 2 n steps for an n x m matrix and far wider, by
+# this fraction; tests raise it to make every class a candidate.  The same
+# fraction of sum|R| bounds the rounding that criss-cross may show as a
 # decrease of its objective.  Past _SHORTLIST_CAP finalists only the first
 # _SHORTLIST_CAP and the bulk argmax are re-scored; criss-cross reaches that
 # many distinct fixed points only when restarts + 10 > 2^16.
@@ -76,12 +78,22 @@ _SHORTLIST_CAP = 1 << 16
 
 # The low half of the meet-in-the-middle split covers 2^12 = 4096 contiguous
 # classes: numpy's broadcasting add ran about 4x slower per element on rows
-# shorter than half its 8192-element ufunc buffer (numpy 2.4).
+# shorter than half its 8192-element ufunc buffer (numpy 2.4, float32), and
+# the int16 fixed-point screen of a 50 x 20 table ran fastest at 12 of 10 to
+# 14 bits.
 _LOW_BITS = 12
-# The first pass's scoring buffers, one per worker thread, together, and the
-# bound on its low-half table, in float32 elements (8 MB); the exact pass's
-# float64 scores and signs of one chunk of candidates take the same 8 MB.
+# The first pass's int16 scoring buffers, one per worker thread, together,
+# and the bound on its int16 low-half table, in elements (4 MB each); the
+# exact pass's float64 scores and signs of one chunk of candidates take
+# 8 MB.
 _BLOCK_ELEMENTS = 1 << 21
+# The integer screen sums at most this many points, g, in int16 before it
+# adds the chunk's sum to the class's int32 score.  The step is set from the
+# heaviest chunk's share of sum|Ms|, so on a tall table whose mass is spread
+# over its points the window of 2 n steps stays near 2 g / (32766 - g) of
+# sum|Ms|, at most twice that as the step is a power of two; 64 keeps a
+# 50-point table in one chunk.
+_CHUNK_POINTS = 64
 
 # tca_decompose forms the iterative steps' start Gram again from the residual
 # when the deflated update's trace falls below this fraction of the trace at
@@ -175,103 +187,122 @@ def _cpu_count() -> int:
 def _enumerate_max(M: np.ndarray) -> np.ndarray:
     """Global maximizer of ``||M x||_1`` over sign classes of x.
 
-    Two passes.  The first screens every class in float32 by meet in the
-    middle (Horowitz & Sahni, JACM 21(2), 1974): code ``a * 2^l + b`` splits
-    x into a high half (the fixed ``x_0 = +1`` and the ``h`` most significant
-    free bits, code ``a``) and a low half (the other ``l`` bits, code ``b``),
-    so its score is ``sum_i |P[i, a] + Q[i, b]|`` with ``Q = Ms_l X_l^T`` and
-    ``P = Ms_h X_h^T``, the latter one block of codes at a time, summed in a
-    reused buffer: ``I * 2^(m-1)`` additions in place of the dense
-    ``I * m * 2^(m-1)`` multiply-adds.  ``Ms = M * 2^-e`` has its largest
-    entry in [0.5, 1), an exact scaling, so the screen can neither overflow
-    nor underflow to matter and decides alike at every power-of-two scale;
-    ``P`` and ``Q`` are formed in float64 by ``np.einsum``, which calls no
-    BLAS, and cast.  The blocks are independent, so one worker thread per CPU
+    Two passes.  The first screens every class in int16 fixed point by meet
+    in the middle (Horowitz & Sahni, JACM 21(2), 1974): code ``a * 2^l + b``
+    splits x into a high half (the fixed ``x_0 = +1`` and the ``m - 1 - l``
+    most significant free bits, code ``a``) and a low half (the other ``l``
+    bits, code ``b``), so its score is ``sum_i |P[i, a] + Q[i, b]|`` with
+    ``Q = Ms_l X_l^T`` and ``P = Ms_h X_h^T``, the latter one block of codes
+    at a time, summed in a reused buffer: ``I * 2^(m-1)`` additions in place
+    of the dense ``I * m * 2^(m-1)`` multiply-adds.  ``Ms = M / h`` is ``M``
+    in steps of ``h``, a power of two set from the points' share of
+    ``sum|M|`` so that no int16 sum over a chunk of ``_CHUNK_POINTS`` points
+    can pass 2^15 - 1: an exact scaling.  ``P`` and ``Q`` are formed in
+    float64 by ``np.einsum``, which calls no BLAS, and rounded to int16; the
+    chunk sums are added in int32.  Integer sums are exact in any order, so
+    the screen decides alike at every power-of-two scale, block size and
+    worker count.  The blocks are independent, so one worker thread per CPU
     (at most one per ``_BLOCK_ELEMENTS`` scored elements) screens every
     ``workers``-th block into its own slice of the scores, with its own
-    buffer; numpy's float32 loops release the GIL.  A BLAS product would leave OpenBLAS's threads spinning on the
-    CPUs the workers need.  Each score is the same float32 sum whatever the
-    worker count and block size, so the screen does not depend on the CPUs.
-    The classes within the screen's rounding window of the best (see below)
-    then go through the finalist rule: scored in float64 by matrix products,
-    a chunk of codes at a time within the screen's memory budget, narrowed
-    to ``_SHORTLIST_RTOL`` of the best and re-scored one by one, so none is
-    dropped on its float32 value alone and ties resolve to the
-    lexicographically smallest vector.  This is the mixed-precision pattern
-    of Higham & Mary (Acta Numerica 31, 2022): the cheap pass only selects,
-    the exact pass decides.
+    buffer; numpy's integer loops release the GIL.  A BLAS product would
+    leave OpenBLAS's threads spinning on the CPUs the workers need.  The classes within a window of about ``2 n h`` of the
+    best (see below) then go through the finalist rule: scored in float64 by
+    matrix products, a chunk of codes at a time within the screen's memory
+    budget, narrowed to ``_SHORTLIST_RTOL`` of the best and re-scored one by
+    one, so none is dropped on its rounded value alone and ties resolve to
+    the lexicographically smallest vector.  This is the mixed-precision
+    pattern of Higham & Mary (Acta Numerica 31, 2022): the cheap pass only
+    selects, the exact pass decides.
     """
     npoints, m = M.shape
     A = np.abs(M)
+    total = A.sum()
+    if total == 0:
+        return np.ones(m)  # zero residual: every class ties at 0
+    # The step h = 2^e.  In steps, a point's |P + Q| is at most its row's
+    # sum|M| over h, plus one for the rounding of P and Q (half a step each),
+    # so a chunk of g points sums to at most its share of sum|M| over h, plus
+    # g.  h is the least power of two that keeps the share of the heaviest
+    # chunk within 32766 - g steps; the spare step pays for the float64
+    # rounding of the row sums, P and Q, each far below 2^-30 of the share.
+    # The share is first scaled by the power of two that brings the largest
+    # entry of M into [0.5, 1), so that the quotient cannot underflow.
+    chunk = min(npoints, _CHUNK_POINTS)
+    if chunk == npoints:
+        share = total
+    else:
+        share = np.add.reduceat(A.sum(axis=1), np.arange(0, npoints, chunk)).max()
     e = math.frexp(A.max())[1]
-    Ms = np.ldexp(M, -e)
-    low = min(m - 1, _LOW_BITS, max(0, (_BLOCK_ELEMENTS // npoints).bit_length() - 1))
+    frac, exp = math.frexp(math.ldexp(share, -e) / (32766 - chunk))
+    e += exp - (frac == 0.5)  # at frac = 0.5 the quotient is 2^(exp - 1)
+    Ms = np.ldexp(M, -e)  # M in steps, exactly
+    # The points are padded with zero ones to whole chunks, which add 0 to
+    # every score, so that each block's chunks are summed by one call.
+    chunks = -(-npoints // chunk)
+    rows = chunks * chunk
+    low = min(m - 1, _LOW_BITS, max(0, (_BLOCK_ELEMENTS // rows).bit_length() - 1))
     high = m - 1 - low
     codes = 1 << (m - 1)
     # Q's sign table is transposed to be contiguous, which einsum runs about
     # twice as fast; P keeps one row per code, the layout in which einsum
     # gives each code the same sum however many codes share the call.  Q is
-    # summed in float64 a row block at a time: no float64 copy of it is held.
+    # summed in float64 and rounded a row block at a time: no float64 copy
+    # of it is held.
     XT = np.ascontiguousarray(_signs(np.arange(1 << low), low + 1)[:, 1:].T)
-    Q = np.empty((npoints, 1 << low), dtype=np.float32)
+    Q = np.zeros((rows, 1 << low), dtype=np.int16)
     for b in _row_blocks(npoints, 1 << low):
-        Q[b] = np.einsum("ij,jk->ik", Ms[b, high + 1 :], XT)
+        Q[:npoints][b] = np.rint(np.einsum("ij,jk->ik", Ms[b, high + 1 :], XT))
     del XT  # not held through the screen
     # One worker per CPU, at most one per _BLOCK_ELEMENTS scored elements; a
     # screen that fits one block does not ask for the CPUs (a system call).
-    blocks = -(-(npoints * codes) // _BLOCK_ELEMENTS)
+    blocks = -(-(rows * codes) // _BLOCK_ELEMENTS)
     workers = min(_cpu_count(), blocks) if blocks > 1 else 1
     # A block is ``block`` consecutive codes: whole high codes where a buffer
     # of _BLOCK_ELEMENTS / workers holds one, else a power-of-two share of one.
-    span = max(1, _BLOCK_ELEMENTS // workers // npoints)
+    span = max(1, _BLOCK_ELEMENTS // workers // rows)
     block = min(codes, span >> low << low or 1 << (span.bit_length() - 1))
-    vals = np.empty(codes, dtype=np.float32)  # code order: lexicographic
+    vals = np.empty(codes, dtype=np.int32)  # code order: lexicographic
 
     def screen(worker: int) -> None:
-        buf = np.empty((npoints, max(1, block >> low), min(block, 1 << low)), dtype=np.float32)
+        P = np.zeros((rows, max(1, block >> low)), dtype=np.int16)
+        buf = np.empty(rows * block, dtype=np.int16)
+        sums = np.empty(chunks * block, dtype=np.int16)
         for c0 in range(worker * block, codes, workers * block):
             c1 = min(c0 + block, codes)
             a0, b0 = c0 >> low, c0 & ((1 << low) - 1)
             na, nb = max(1, (c1 - c0) >> low), min(c1 - c0, 1 << low)
-            P = np.einsum(
-                "ij,kj->ik", Ms[:, : high + 1], _signs(np.arange(a0, a0 + na), high + 1)
-            ).astype(np.float32)
-            scores = buf[:, :na, :nb]
-            np.add(P[:, :, None], Q[:, None, b0 : b0 + nb], out=scores)
+            signs = _signs(np.arange(a0, a0 + na), high + 1)
+            P[:npoints, :na] = np.rint(np.einsum("ij,kj->ik", Ms[:, : high + 1], signs))
+            scores = buf[: rows * na * nb].reshape(rows, na, nb)
+            np.add(P[:, :na, None], Q[:, None, b0 : b0 + nb], out=scores)
             np.abs(scores, out=scores)
-            scores.sum(axis=0, out=vals[c0:c1].reshape(na, nb))
+            part = sums[: chunks * na * nb].reshape(chunks, na * nb)
+            np.add.reduce(scores.reshape(chunks, chunk, -1), axis=1, out=part)
+            np.add.reduce(part, axis=0, dtype=np.int32, out=vals[c0:c1])
 
     if workers == 1:
         screen(0)
     else:
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(screen, range(workers)))  # re-raises a worker's error
-    best = float(vals.max())
-    if best < math.ldexp(_DELTA_FLOOR, -e):
-        return np.ones(m)  # exhausted residual: every class ties at ~0
-    # Window.  With u = 2^-24 (float32 unit roundoff) and S = sum|Ms| >= 0.5,
-    # each screened value is within gamma_(I+1) * S of its exact score
-    # (gamma_k = k u / (1 - k u); Higham, Accuracy and Stability, Lemma 3.1):
-    # the casts of P and Q round by at most u (|P| + |Q|) per point together,
-    # their sum once more, and the I - 1 float32 additions of the points, in
-    # whatever order, at most gamma_(I-1) times the sum of their terms.  The
-    # best screened value and the true maximizer's can each be off by that
-    # much, so the window is twice it; counting I + 2 roundings pays for the
-    # float32 rounding of the threshold ``best - window`` in the comparison.
-    # P and Q are float64 sums of signed entries of Ms, each sign exact;
-    # einsum adds them in its own order, and a sum of k terms in any order is
-    # off by at most gamma_(k-1) times the sum of their magnitudes (Higham,
-    # section 4.2).  So P and Q together, over the points, are off by at
-    # most gamma_m * S in float64 (about m * 2^-53 * S) per class, and
-    # float32 underflow in the casts by at most I * 2^-149, under
-    # 2^-84 * S for any I < 2^63: twice their sum is below m * 2^-51 * S.
-    # Past k u >= 1 the bound is void and every class is a candidate.  The
-    # _SHORTLIST_RTOL floor never binds at the default; tests raise it to
-    # make every class a candidate.
-    k_u = (npoints + 2) * 2.0**-24
-    rtol = 2 * k_u / (1 - k_u) + m * 2.0**-51 if k_u < 1 else np.inf
-    window = max(_SHORTLIST_RTOL, rtol) * math.ldexp(A.sum(), -e)  # sum|Ms|
-    candidates = np.flatnonzero(vals >= best - window)
+    # Window, in steps.  Rounding P and Q to whole steps moves each point's
+    # |P + Q| by at most one, so a class's integer score is within n of its
+    # float64-formed score.  P and Q are float64 sums of signed entries of
+    # Ms, each sign exact; einsum adds them in its own order, and a sum of k
+    # terms in any order is off by at most gamma_(k-1) times the sum of their
+    # magnitudes (gamma_k = k u / (1 - k u), u = 2^-53; Higham, Accuracy and
+    # Stability, section 4.2).  So P and Q together, over the points, are off
+    # the exact score by at most gamma_m * S (S = sum|Ms|), and the exact
+    # pass's bulk scores, m-term products summed over n points, by at most
+    # gamma_(n+m) * S: both within (n + 2m) * 2^-52 * S.  A finalist scores
+    # within _SHORTLIST_RTOL * S of the best bulk score, so its integer score
+    # lies within twice the sum of those bounds, plus _SHORTLIST_RTOL * S, of
+    # the integer maximum: W steps, 2n of them for the rounding.
+    # The _SHORTLIST_RTOL term stays below one step at the default; tests
+    # raise it to make every class a candidate.
+    S = math.ldexp(total, -e)  # sum|M| in steps
+    W = 2 * npoints + math.ceil(((npoints + 2 * m) * 2.0**-51 + _SHORTLIST_RTOL) * S)
+    candidates = np.flatnonzero(vals >= vals.max() - W)
     del vals, Q  # not held through the exact pass
     # A chunk's float64 scores and signs together take at most the first
     # pass's 4 * _BLOCK_ELEMENTS bytes.
@@ -281,7 +312,9 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
         scores = M @ _signs(candidates[c : c + step], m).T
         exact[c : c + step] = np.abs(scores, out=scores).sum(axis=0)
         del scores  # not held while the next chunk is formed
-    keep = _finalists(exact, _SHORTLIST_RTOL * A.sum())
+    if exact.max() < _DELTA_FLOOR:
+        return np.ones(m)  # exhausted residual: every class ties at ~0
+    keep = _finalists(exact, _SHORTLIST_RTOL * total)
     return _first_max(M, _signs(candidates[keep], m))
 
 

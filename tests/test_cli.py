@@ -132,7 +132,7 @@ def write_text(tmp_path, text, name="table.csv"):
 
 def test_dropped_row_notice_on_stderr(tmp_path, capsys):
     # a record of catax.contingency, printed by the run's own handler even
-    # where a handler on the root logger (here pytest's) takes records too
+    # where the root logger has a handler (here pytest's)
     assert main(["--input", write_text(tmp_path, ZERO_ROW_TEXT), "--drop-empty"]) == 0
     assert capsys.readouterr().err == ZERO_ROW_NOTICES
 
@@ -192,6 +192,55 @@ def test_run_leaves_catax_handlers_as_it_found_them(tmp_path, capsys, monkeypatc
     # the three runs that load a table did so with their own handler attached
     assert len(during) == 3
     assert all(len(handlers) == 2 and handlers[0] is sentinel for handlers in during)
+
+
+@pytest.mark.parametrize("propagate", [True, False])
+def test_notice_printed_once_under_root_logging(tmp_path, capsys, propagate):
+    # A host that ran logging.basicConfig() has a stderr handler on the root
+    # logger.  A run's notices must reach stderr once, through the run's own
+    # handler, and nothing must reach the root logger; the catax logger's
+    # propagate setting is restored whatever the exit code.
+    reached = []
+
+    class Recording(logging.Handler):
+        def emit(self, record):
+            reached.append(record.getMessage())
+
+    root, package = logging.getLogger(), logging.getLogger("catax")
+    host = logging.StreamHandler(sys.stderr)
+    host.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    recording = Recording()
+    zero_row = write_text(tmp_path, ZERO_ROW_TEXT, "zero_row.csv")
+    rank_zero = write_text(tmp_path, "A,x,y\nr1,1,2\nr2,0,0\nr3,2,4\n", "rank0.csv")
+    runs = [
+        (["--input", zero_row, "--drop-empty", "--dims", "2"], 0,
+         "warning: dropping all-zero row(s): r2\n"),
+        (["--input", zero_row], 1, None),
+        (["--input", rank_zero, "--drop-empty", "--map", str(tmp_path / "m.svg")], 2,
+         "warning: dropping all-zero row(s): r2\n" + RANK_ZERO_WARNING
+         + "error: no axes extracted; cannot draw a factor map\n"),
+    ]
+    was = package.propagate
+    package.propagate = propagate
+    root.addHandler(host)
+    root.addHandler(recording)
+    try:
+        for argv, code, err in runs:
+            assert main(argv) == code
+            captured = capsys.readouterr().err
+            if err is None:
+                assert captured.startswith("error: ") and captured.count("\n") == 1
+            else:
+                assert captured == err
+            assert package.propagate is propagate
+        assert reached == []
+        # outside a run the library's records reach the root logger as before
+        package.warning("outside a run")
+        assert reached == (["outside a run"] if propagate else [])
+    finally:
+        root.removeHandler(host)
+        root.removeHandler(recording)
+        package.propagate = was
 
 
 def test_bad_flag_value_exits_1(tmp_path):

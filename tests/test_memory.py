@@ -24,12 +24,15 @@ summed over blocks, and a zero-axis decomposition forms no residual, so none
 of them makes a table-sized array.
 
 The exhaustive TCA step's screen is bounded by what it must hold rather than
-by table sizes: its float32 score of every sign class, its float32 low-half
-table, and its scoring buffers, one per worker thread and within
-``_BLOCK_ELEMENTS`` float32 elements together.  tracemalloc sees the worker
-threads' allocations too.  Its exact pass holds 16 bytes per candidate (code
-and float64 score) and one chunk of float64 scores and signs within the same
-``4 * _BLOCK_ELEMENTS`` bytes as the buffers.
+by table sizes.  It scores in int16 fixed point, on multiples of a
+power-of-two step, with exact integer sums, so each of its arrays takes at
+most the 4 bytes per element that the bound allows: its int32 score of every
+sign class, its int16 low-half table, and its int16 scoring buffers, one per
+worker thread and within ``_BLOCK_ELEMENTS`` elements together.  tracemalloc
+sees the worker threads' allocations too.  The classes its window of ``n h``
+each way keeps go to the exact pass, which holds 16 bytes per candidate
+(code and float64 score) and one chunk of float64 scores and signs within
+``4 * _BLOCK_ELEMENTS`` bytes.
 """
 
 import gc
@@ -165,7 +168,7 @@ def test_exhaustive_screen_heap_peak(monkeypatch, workers):
 
 
 def test_exhaustive_exact_pass_heap_peak():
-    # Three heavy columns and 17 light ones along one row vector: the float32
+    # Three heavy columns and 17 light ones along one row vector: the integer
     # screen ties all 2^17 settings of the light signs, so the exact pass
     # scores 2^17 candidates, 2 MB of codes and scores, no more than the
     # screen's 2 MB of scores.

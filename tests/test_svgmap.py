@@ -1,10 +1,14 @@
 """SVG factor maps: structure, labels, determinism, axis validation."""
 
+import subprocess
+import sys
 from xml.etree import ElementTree
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
+import catax.svgmap
 from catax import ContingencyTable, build_model, ca_decompose, emit_map, tca_decompose
 from conftest import table_from_counts
 
@@ -88,3 +92,20 @@ def test_labels_with_characters_xml_forbids_stay_well_formed():
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         for label in ("r\ufffd1", "r\ufffd2", "r3", "c\ufffd1", "c\ufffd2", "c\ufffd3"):
             assert label in texts
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["plain", "a<b", "x&y", "<&>", "&amp;", "]]>", 'q"z\'', "r\x001", "r\x0c2", "c\ufffe", "c\ud800"],
+)
+def test_escape_matches_saxutils(label):
+    assert catax.svgmap._escape(label) == escape(label)
+
+
+def test_import_pulls_in_no_network_modules():
+    # xml.sax.saxutils imports urllib.request, which imports http.client and
+    # email; a map needs three escapes from it
+    heavy = ("urllib.request", "http.client", "email")
+    code = f"import sys, catax; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -241,10 +241,10 @@ def enum_model(seed):
 
 def test_exhaustive_step_independent_of_worker_count(monkeypatch):
     # The screen's blocks run on one thread per CPU, and each score is the
-    # same float32 sum at any worker count, so the step must not depend on
-    # the CPUs.  The 50 x 20 tables and the tall residual span several
-    # blocks at the default size, each two-worker call starting its threads;
-    # the small tie-heavy matrices do at 8 elements a block.
+    # same exact integer sum at any worker count, so the step must not
+    # depend on the CPUs.  The 50 x 20 tables and the tall residual span
+    # several blocks at the default size, each two-worker call starting its
+    # threads; the small tie-heavy matrices do at 8 elements a block.
     pools = []
 
     class CountedPool(ThreadPoolExecutor):
@@ -309,9 +309,9 @@ def test_exhaustive_scale_invariant(models30):
 
 @pytest.mark.parametrize("exponent", [-600, 600])
 def test_exhaustive_extreme_power_of_two_scales(models30, monkeypatch, exponent):
-    # At 2^600 a float32 copy of the residual overflows and at 2^-600 it
-    # underflows to zero; the screen's exact power-of-two normalization must
-    # keep u and delta exact there too.  The exhausted-residual floor is
+    # At 2^600 a float32 copy of the residual would overflow and at 2^-600
+    # underflow to zero; the screen's power-of-two normalization and step
+    # must keep u and delta exact there too.  The exhausted-residual floor is
     # scaled with the data, so that only the scale changes.
     residuals = [model.D for model in models30[:10]]
     residuals.extend(tie_heavy_matrices(np.random.default_rng(17), 10))
@@ -326,7 +326,7 @@ def test_exhaustive_extreme_power_of_two_scales(models30, monkeypatch, exponent)
 
 def test_exhaustive_sub_float32_near_ties():
     # Small-integer tie-heavy matrices with 2^-40 added to one entry: the
-    # float32 screen cannot see the change and ties the classes exactly, the
+    # integer screen cannot see the change and ties the classes exactly, the
     # float64 re-score breaks the tie, and u must be the brute-force first
     # maximizer.  Some perturbations must move it, or the test shows nothing.
     rng = np.random.default_rng(40)
@@ -341,9 +341,10 @@ def test_exhaustive_sub_float32_near_ties():
 
 
 def summation_order_residual(n=1500, d=2.0**-15):
-    """A 2n x 2 matrix whose two classes the float32 screen's sums over the
-    points part by ``d / 2`` of ``sum|M|``, far beyond a window that ignores
-    ``n``.
+    """A 2n x 2 matrix whose two classes a float32 screen's sums over the
+    points would part by ``d / 2`` of ``sum|M|``, far beyond a window that
+    ignores ``n``; the integer screen's sums are exact, but its rounding of
+    each point to the step grows with ``n`` too.
 
     Under x = (1, 1) the first n rows score 1 and the last n score ``d``;
     under (1, -1) the other way round.  Summed in row order in float32, the
@@ -360,9 +361,9 @@ def summation_order_residual(n=1500, d=2.0**-15):
 def test_exhaustive_tall_residuals():
     # The screen's rounding grows with the number of points, and so must its
     # window: on residuals of about 3000 x 12 (Poisson tables, one deflation
-    # of each, thirds of small integers, and a matrix built so the float32
-    # sums of the two best classes part by 128 * 2^-23 * sum|M|) u must still
-    # be the brute-force first maximizer.
+    # of each, thirds of small integers, and a matrix built so float32 sums
+    # of the two best classes would part by 128 * 2^-23 * sum|M|) u must
+    # still be the brute-force first maximizer.
     rng = np.random.default_rng(3000)
     residuals = [summation_order_residual()]
     for seed in range(3):
@@ -378,7 +379,7 @@ def test_exhaustive_tall_residuals():
 
 def test_exhaustive_screen_overflow_light_columns():
     # Three heavy columns and 17 light ones, all along one row vector at
-    # 1e-7 of the heavy entries: the float32 screen ties all 2^17 settings
+    # 1e-7 of the heavy entries: the integer screen ties all 2^17 settings
     # of the light signs, more classes than the cap.  They must be told
     # apart in float64, not cut to the first in code order, because the
     # maximizer sets every light sign alike and so may come last.
@@ -388,6 +389,61 @@ def test_exhaustive_screen_overflow_light_columns():
         M[:, :3] = rng.standard_normal((50, 3))
         M[:, 3:] = 1e-7 * np.outer(rng.standard_normal(50), rng.uniform(0.5, 1.5, 17))
         np.testing.assert_array_equal(tsvd_step_exhaustive(M).u, brute_step_u(M))
+
+
+@pytest.mark.parametrize("total", [32716, 32766])
+def test_exhaustive_integer_screen_at_its_overflow_bound(total):
+    # A sign-separable 50 x 12 matrix, M[i, j] = K[i, j] s_i t_j with K > 0,
+    # whose best class x = t scores exactly sum|M|.  Each row's end entries
+    # are an odd integer plus a half and its others even integers, so under
+    # x = t both halves of every row, P and Q, sit at an odd integer plus a
+    # half, wherever the split falls, and each rounds away from zero.  At
+    # sum|M| = 32716 = 32766 - 50 the step is 1 and the best class's integer
+    # score is 32766, the most a chunk of 50 points may sum to; at half the
+    # step it would pass 2^15 - 1.  At sum|M| = 32766 the step must be 2:
+    # at 1, the 50 points' rounding would pass it too.
+    rng = np.random.default_rng(total)
+    n, m = 50, 12
+    K = 2.0 * rng.integers(1, 30, size=(n, m))
+    K[:, [0, -1]] = 2 * rng.integers(0, 30, size=(n, 2)) + 1.5
+    K[0, 1] += total - K.sum()
+    s = rng.choice([-1.0, 1.0], n)
+    t = rng.choice([-1.0, 1.0], m)
+    t[0] = 1.0
+    M = K * np.outer(s, t)
+    assert np.abs(M).sum() == total
+    for high in range(m - 1):  # P = M[:, :high + 1] t[:high + 1]
+        P, Q = M[:, : high + 1] @ t[: high + 1], M[:, high + 1 :] @ t[high + 1 :]
+        assert np.abs(np.rint(P) + np.rint(Q)).sum() == total + n
+    for R in (M, M.T, M / 3):  # M / 3: entries off the grid of steps
+        np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, brute_step_u(R))
+    np.testing.assert_array_equal(tsvd_step_exhaustive(M).u, t)
+
+
+def test_exhaustive_residuals_over_many_point_chunks():
+    # 20000 x 4 and 5000 x 12 residuals sum their points in hundreds of
+    # int16 chunks, added in int32; the window grows with the points.
+    residuals = []
+    for shape, seed in (((20000, 4), 0), ((5000, 12), 1), ((5000, 12), 2)):
+        counts = np.random.default_rng(seed).poisson(5.0, size=shape).astype(float)
+        D = build_model(table_from_counts(counts)).D
+        step = tsvd_step_exhaustive(D)
+        residuals.extend((D, D - np.outer(D @ step.u, step.v @ D) / step.delta))
+    residuals.append(np.random.default_rng(5000).integers(-2, 3, size=(5000, 12)) / 3)
+    residuals.append(residuals[-1].T)
+    for R in residuals:
+        np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, brute_step_u(R))
+
+
+def test_exhaustive_mass_in_one_row():
+    # One row holds most of sum|M|, so one chunk's share sets the step and
+    # the points of every other chunk round to a few steps or none.
+    for seed, (n, m) in enumerate(((3000, 10), (600, 14), (40, 12))):
+        D = poisson_model((n, m), seed).D.copy()
+        D[seed % n] *= 1e4
+        step = tsvd_step_exhaustive(D)
+        for R in (D, D - np.outer(D @ step.u, step.v @ D) / step.delta):
+            np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, brute_step_u(R))
 
 
 def test_iterative_diag():
