@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import re
 
 import numpy as np
@@ -204,3 +205,41 @@ def csv_lines(text: str) -> list:
     """The lines of ``text``, each with its line break, ending where csv ends a
     record; one regular expression over the whole text."""
     return [match.group() for match in _CSV_LINE.finditer(text)]
+
+
+def integer_screen(M: np.ndarray, low: int) -> tuple:
+    """The exhaustive step's integer screen of ``M`` by brute force.
+
+    Every sign class, by code as in `shifted_signs`, is split into a high
+    half (the first ``m - low`` components) and a low half.  The step ``h``
+    is the least power of two that keeps the heaviest chunk of
+    ``g = min(n, 64)`` points within ``32766 - g`` steps of ``sum|M|``.  Each
+    half of ``M x``, in steps, is rounded to a whole step, ``P`` and ``Q``,
+    and the class scores ``sum_i |P_i + Q_i|``.  Returns the scores, each
+    class's bound halves ``sum_i |P_i|`` and ``sum_i |Q_i|``, and ``sum|M|``
+    in steps.  The halves are summed by matrix products, so the rounding
+    matches the screen's where they stay off half steps, as on small
+    integers and their thirds.
+    """
+    n, m = M.shape
+    A = np.abs(M)
+    g = min(n, 64)
+    share = max(A[i : i + g].sum() for i in range(0, n, g))
+    e = math.frexp(share / (32766 - g))[1]
+    while math.ldexp(32766 - g, e - 1) >= share:
+        e -= 1
+    while math.ldexp(32766 - g, e) < share:
+        e += 1
+    Ms = np.ldexp(M, -e)
+    X = shifted_signs(np.arange(1 << (m - 1)), m)
+    P = np.rint(Ms[:, : m - low] @ X[:, : m - low].T)
+    Q = np.rint(Ms[:, m - low :] @ X[:, m - low :].T)
+    scores = np.abs(P + Q).sum(axis=0)
+    return scores, np.abs(P).sum(axis=0), np.abs(Q).sum(axis=0), math.ldexp(A.sum(), -e)
+
+
+def screen_window(n: int, m: int, S: float, rtol: float) -> int:
+    """The screen's window in steps for an ``n x m`` matrix of ``S`` steps:
+    ``2n`` for the rounding of the halves, plus ``(n + 2m) 2^-51`` for the
+    float64 sums and ``rtol`` for the finalists, of ``S``, rounded up."""
+    return 2 * n + math.ceil(((n + 2 * m) * 2.0**-51 + rtol) * S)

@@ -26,13 +26,14 @@ of them makes a table-sized array.
 The exhaustive TCA step's screen is bounded by what it must hold rather than
 by table sizes.  It scores in int16 fixed point, on multiples of a
 power-of-two step, with exact integer sums, so each of its arrays takes at
-most the 4 bytes per element that the bound allows: its int32 score of every
-sign class, its int16 low-half table, and its int16 scoring buffers, one per
-worker thread and within ``_BLOCK_ELEMENTS`` elements together.  tracemalloc
-sees the worker threads' allocations too.  The classes its window of ``n h``
-each way keeps go to the exact pass, which holds 16 bytes per candidate
-(code and float64 score) and one chunk of float64 scores and signs within
-``4 * _BLOCK_ELEMENTS`` bytes.
+most the 4 bytes per element that the bound allows: its int32 scores, one
+slot per sign class in the order it screens them (it writes only the classes
+its bound does not skip), its int16 low-half table, sorted in place, and its
+int16 scoring buffers, one per worker thread and within ``_BLOCK_ELEMENTS``
+elements together.  tracemalloc sees the worker threads' allocations too.
+The classes its window of ``n h`` each way keeps go to the exact pass, which
+holds 16 bytes per candidate (code and float64 score) and one chunk of
+float64 scores and signs within ``4 * _BLOCK_ELEMENTS`` bytes.
 """
 
 import gc

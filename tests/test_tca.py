@@ -1,6 +1,8 @@
 import itertools
 import logging
 import re
+import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,6 +32,8 @@ from oracles import (
     criss_cross,
     dispersion_loop,
     exact_residual,
+    integer_screen,
+    screen_window,
     shifted_signs,
     svd_start_signs,
     taxicab_col_loop,
@@ -444,6 +448,148 @@ def test_exhaustive_mass_in_one_row():
         step = tsvd_step_exhaustive(D)
         for R in (D, D - np.outer(D @ step.u, step.v @ D) / step.delta):
             np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, brute_step_u(R))
+
+
+@pytest.mark.parametrize("step", [tsvd_step_exhaustive, tsvd_step_iterative])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_rejects_non_finite_residual(step, bad):
+    # Refused before any work, with no warning on the way.
+    R = np.random.default_rng(9).normal(size=(6, 5))
+    R[2, 3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="residual must be finite"):
+            step(R)
+
+
+def screened(monkeypatch, workers):
+    """Split the screen's classes into two low bits and blocks of at most 40
+    elements, at ``workers`` workers, and return the list of candidate codes
+    that each exhaustive step hands its exact pass."""
+    monkeypatch.setattr(catax.tca, "_LOW_BITS", 2)
+    monkeypatch.setattr(catax.tca, "_BLOCK_ELEMENTS", 40)
+    monkeypatch.setattr(catax.tca, "_cpu_count", lambda: workers)
+    candidates = []
+    exact_pass = catax.tca._exact_pass
+
+    def spy(M, codes, total):
+        candidates.append(codes.copy())
+        return exact_pass(M, codes, total)
+
+    monkeypatch.setattr(catax.tca, "_exact_pass", spy)
+    return candidates
+
+
+def check_screened_step(R, candidates):
+    """The step's u against brute force, and the classes it hands the exact
+    pass against the integer screen's window, the oracle's brute force."""
+    M = R if R.shape[1] <= R.shape[0] else R.T
+    (n, m), rtol = M.shape, catax.tca._SHORTLIST_RTOL
+    assert 40 // n >= 4  # so the screen splits off min(m - 1, 2) low bits
+    scores, _, _, S = integer_screen(M, min(m - 1, 2))
+    candidates.clear()
+    np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, brute_step_u(R))
+    window = np.flatnonzero(scores >= scores.max() - screen_window(n, m, S, rtol))
+    np.testing.assert_array_equal(candidates[0], window)
+
+
+# A 9 x 6 table whose lexicographically first maximizer lies in the high code
+# with the lowest bound, sum_i |P_ia| = 5120 steps, when the screen splits it
+# into 8 high codes of two low bits (bounds 5120 to 9728 steps): the last
+# high code the screen reaches.
+LOWEST_BOUND_MAXIMIZER = np.array(
+    [
+        [2, 3, 2, 0, 3, 3],
+        [1, 0, -3, 1, 2, 2],
+        [-3, 1, 2, 2, 1, 2],
+        [-1, -2, -2, 0, 3, 3],
+        [0, -3, 3, 2, -1, -2],
+        [-2, 2, 0, -1, 3, 0],
+        [0, 3, 2, 1, 1, 2],
+        [3, 0, -2, 2, 2, 1],
+        [-3, -3, -3, -2, 0, 2],
+    ],
+    dtype=float,
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("rtol", [None, 1.0], ids=["default-rtol", "every-class"])
+def test_exhaustive_prune_reaches_lowest_bound(monkeypatch, workers, rtol):
+    # The screen takes the high codes by descending bound and skips the low
+    # codes whose bound falls short of the window; the maximizer's high code
+    # comes last and must still be scored against its low code.  At 40
+    # elements a block holds one high code, half of one or one class.  With
+    # _SHORTLIST_RTOL = 1 every class is a candidate and none can be pruned.
+    M = LOWEST_BOUND_MAXIMIZER
+    _, bounds, _, _ = integer_screen(M, 2)
+    bounds = bounds[::4]  # one per high code
+    first = np.flatnonzero((shifted_signs(np.arange(32), 6) == brute_argmax(M)).all(axis=1))[0]
+    assert bounds[first >> 2] < np.delete(bounds, first >> 2).min()
+    candidates = screened(monkeypatch, workers)
+    if rtol is not None:
+        monkeypatch.setattr(catax.tca, "_SHORTLIST_RTOL", rtol)
+    for R in (M, M.T, M / 3):
+        check_screened_step(R, candidates)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("window", ["edge", "every-class"])
+def test_exhaustive_prune_keeps_window_edge(monkeypatch, workers, window):
+    # Tie-heavy matrices and their thirds, whose tied classes the screen
+    # rounds apart.  With the window widened to end exactly on the score of
+    # a class 2n steps or more below the best, that class and every one
+    # above it must reach the exact pass, and no other; with
+    # _SHORTLIST_RTOL = 1 every class does, and none can be pruned.
+    candidates = screened(monkeypatch, workers)
+    edges = 0
+    for R in tie_heavy_matrices(np.random.default_rng(29), 40):
+        M = R if R.shape[1] <= R.shape[0] else R.T
+        (n, m), rtol = M.shape, 1.0
+        if window == "edge":
+            scores, _, _, S = integer_screen(M, min(m - 1, 2))
+            below = scores[scores < scores.max() - 2 * n]
+            if below.size == 0:
+                continue
+            width = scores.max() - below.max()
+            rtol = (width - 2 * n - 0.5) / S - (n + 2 * m) * 2.0**-51
+            assert screen_window(n, m, S, rtol) == width
+            edges += 1
+        monkeypatch.setattr(catax.tca, "_SHORTLIST_RTOL", rtol)
+        check_screened_step(R, candidates)
+    assert window != "edge" or edges >= 20
+
+
+def test_exhaustive_screen_claims_under_thread_switching(monkeypatch):
+    # Eight workers, more than the CPUs, switching threads about every
+    # microsecond: each high code must still be claimed and scored once, or
+    # the classes handed to the exact pass would move.
+    candidates = screened(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for R in tie_heavy_matrices(np.random.default_rng(31), 20):
+            check_screened_step(R, candidates)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_exhaustive_prune_engages(monkeypatch):
+    # On 50 x 20 Poisson tables the bound leaves the first axis's screen
+    # well under 60% of the 2^19 classes to score.
+    monkeypatch.setattr(catax.tca, "_cpu_count", lambda: 1)
+    screen_block = catax.tca._screen_block
+    scored = []
+
+    def spy(P, Q, chunk, buf, sums, out):
+        scored.append(out.size)
+        screen_block(P, Q, chunk, buf, sums, out)
+
+    monkeypatch.setattr(catax.tca, "_screen_block", spy)
+    for seed in range(3):
+        scored.clear()
+        tsvd_step_exhaustive(enum_model(seed).D)
+        assert sum(scored) < 0.6 * (1 << 19)
 
 
 def test_iterative_diag():
