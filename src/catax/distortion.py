@@ -232,15 +232,16 @@ def classify(
     Raises
     ------
     ValueError
-        A negative distance, or a negative or NaN ``rel_tol`` (NaN would
-        compare false everywhere and leave no isometry).
+        A negative, NaN or infinite distance, or a negative or NaN
+        ``rel_tol`` (NaN would compare false everywhere and leave no
+        isometry).
     """
     if not rel_tol >= 0:  # also NaN
         raise ValueError("rel_tol must be nonnegative")
     raw = np.asarray(raw, dtype=float)
     embedded = np.asarray(embedded, dtype=float)
-    if np.any(raw < 0) or np.any(embedded < 0):
-        raise ValueError("distances must be nonnegative")
+    if not all(np.all((d >= 0) & (d < np.inf)) for d in (raw, embedded)):  # NaN fails both
+        raise ValueError("distances must be finite and nonnegative")
     isometry = (raw == 0) | (np.abs(embedded - raw) <= rel_tol * raw)
     # one small label table indexed by code: a nested where over labels would
     # build two full string arrays
@@ -432,13 +433,17 @@ def intrinsic_dimension_bounds(
     Raises
     ------
     ValueError
-        Empty ``deltas`` or nonpositive ``total_dispersion``.
+        Empty ``deltas``, a delta or ``total_dispersion`` that is not
+        positive (NaN included) or is infinite.
     """
-    cum = np.cumsum(np.asarray(deltas, dtype=float))
-    if cum.size == 0:
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.size == 0:
         raise ValueError("deltas must not be empty")
-    if total_dispersion <= 0:
-        raise ValueError("total_dispersion must be positive")
+    if not np.all((deltas > 0) & (deltas < np.inf)):  # NaN fails both
+        raise ValueError("deltas must be finite and positive")
+    if not 0 < total_dispersion < np.inf:  # NaN fails both
+        raise ValueError("total_dispersion must be finite and positive")
+    cum = np.cumsum(deltas)
     tol = 1e-12 * total_dispersion
     reached = np.flatnonzero(cum >= total_dispersion - tol)
     capped = reached.size == 0

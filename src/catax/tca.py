@@ -20,9 +20,9 @@ screen keeps the classes within a window of 2 n h (and float64 terms) of the
 best, which provably holds every finalist.  A class scores at most the sum
 of its two rounded halves' exact L1 norms, so the screen skips every class
 whose bound falls below a score already seen less the window: such a class
-lies outside the window too.  The screen runs on one worker thread per CPU,
-its partial sums are formed by ``np.einsum`` rather than BLAS, and each score
-is the same at any CPU count.  Larger problems use criss-cross ascent
+lies outside the window too.  The screen runs on the calling thread, and its
+partial sums are formed by ``np.einsum`` rather than BLAS, so each score is
+the same on any BLAS kernel.  Larger problems use criss-cross ascent
 (``v <- sign(R u)``, ``u <- sign(R^T v)``; Choulakian, Psychometrika 71(2),
 2006) from deterministic and seeded random starts, all advanced together:
 each half-step is one matrix-matrix product over every start still moving.
@@ -39,9 +39,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +83,9 @@ _SHORTLIST_CAP = 1 << 16
 # the int16 fixed-point screen of a 50 x 20 table ran fastest at 12 of 10 to
 # 14 bits.
 _LOW_BITS = 12
-# The first pass's int16 scoring buffers, one per worker thread, together,
-# and the bound on its int16 low-half table, in elements (4 MB each); the
-# exact pass's float64 scores and signs of one chunk of candidates take
-# 8 MB.
+# The first pass's int16 scoring buffer and the bound on its int16 low-half
+# table, in elements (4 MB each); the exact pass's float64 scores and signs
+# of one chunk of candidates take 8 MB.
 _BLOCK_ELEMENTS = 1 << 21
 # The integer screen sums at most this many points, g, in int16 before it
 # adds the chunk's sum to the class's int32 score.  The step is set from the
@@ -181,13 +177,6 @@ def _first_max(M: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X[int(np.argmax([float(np.abs(M @ x).sum()) for x in X]))]
 
 
-def _cpu_count() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):  # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _screen_block(
     P: np.ndarray, Q: np.ndarray, chunk: int, buf: np.ndarray, sums: np.ndarray, out: np.ndarray
 ) -> None:
@@ -218,23 +207,21 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     in steps of ``h``, a power of two set from the points' share of
     ``sum|M|`` so that no int16 sum over a chunk of ``_CHUNK_POINTS`` points
     can pass 2^15 - 1: an exact scaling.  ``P`` and ``Q`` are formed in
-    float64 by ``np.einsum``, which calls no BLAS, and rounded to int16; the
-    chunk sums are added in int32.  Integer sums are exact in any order, so
-    the screen decides alike at every power-of-two scale, block size and
-    worker count.  One worker thread per CPU (at most one per
-    ``_BLOCK_ELEMENTS`` scored elements) claims high codes in turn and
-    screens them into their rows of the scores, with its own buffer;
-    numpy's integer loops release the GIL.  A BLAS product would leave
-    OpenBLAS's threads spinning on the CPUs the workers need.
+    float64 by ``np.einsum``, which calls no BLAS, so they do not depend on
+    the BLAS kernel, and rounded to int16; the chunk sums are added in
+    int32.  Integer sums are exact in any order, so the screen decides alike
+    at every power-of-two scale and block size.  It runs on the calling
+    thread, taking the high codes in turn and screening them into their
+    rows of the scores through one buffer.
 
     The screen skips the classes that cannot reach its window (branch and
     bound; Land & Doig, Econometrica 28(3), 1960).  By the triangle
     inequality a class's integer score is at most ``SP[a] + SQ[b]``, the
     exact integer sums ``sum_i |P[i, a]|`` and ``sum_i |Q[i, b]|`` of the
-    rounded halves.  The high codes are claimed by descending ``SP``, and a
-    claim is scored against the low codes, sorted by descending ``SQ``,
-    whose bound from its first (highest) ``SP`` reaches the best score seen
-    so far less the window.  A score seen is at most the maximum, so a
+    rounded halves.  The high codes are taken by descending ``SP``, and
+    each claim is scored against the low codes, sorted by descending
+    ``SQ``, whose bound from its first (highest) ``SP`` reaches the best
+    score so far less the window.  A score seen is at most the maximum, so a
     skipped class lies below the window: the candidates are those a full
     screen keeps, and with them every finalist.  On 50 x 20 Poisson tables
     the screen scores 10 to 50% of the classes; where the larger side is
@@ -343,73 +330,45 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
             points[b] = np.take(points[b], lo, axis=1)
         # ascending: SQ >= t on the first searchsorted(reach, -t, "right")
         reach = -SQ[lo]
-    # One worker per CPU, at most one per _BLOCK_ELEMENTS scored elements; a
-    # screen that fits one block does not ask for the CPUs (a system call).
-    blocks = -(-(rows * codes) // _BLOCK_ELEMENTS)
-    workers = min(_cpu_count(), blocks) if blocks > 1 else 1
-    # A worker's buffer holds ``block`` classes: whole high codes where a
-    # buffer of _BLOCK_ELEMENTS / workers holds one, else a power-of-two
-    # share of one.
-    span = max(1, _BLOCK_ELEMENTS // workers // rows)
-    block = min(codes, span >> low << low or 1 << (span.bit_length() - 1))
+    # The buffer holds ``block`` classes, whole high codes: one fits, as 2^l
+    # is at most ``span``.
+    span = max(1, _BLOCK_ELEMENTS // rows)
+    block = min(codes, span >> low << low)
     # P holds at most ``most`` high codes: the codes of one buffer, or a
-    # 64th of a buffer's classes where the claims below need more.
-    most = max(1, block >> low, block // 64)
+    # 64th of a buffer's classes where the later claims need more.
+    most = max(block >> low, block // 64)
+    P = np.zeros((rows, most), dtype=np.int16)
+    buf = np.empty(rows * block, dtype=np.int16)
+    sums = np.empty(chunks * block, dtype=np.int16)
     # Scores by rank: those of classes hi[r] * 2^l + lo[s] at [r, s].  Only
     # the scored blocks are written, and only they are read back.
     vals = np.empty((1 << high, 1 << low), dtype=np.int32)
-    scored: list[tuple[int, int, np.ndarray, int]] = []  # (r, s, scores, best)
-    # Each worker's best score so far, which any worker may read: every
-    # entry is a score or 0, so at most the maximum.
-    seen = [0] * workers
-    # High codes go out in rank order to whichever worker is free.
-    cursor, lock = [0], threading.Lock()
-
-    def claim() -> tuple[int, int, int]:
-        """The next high ranks to screen, r0 to r1, and the number of low
-        ranks whose bound from the first of them reaches the window, nb;
-        nb = 0 when nothing is left to screen.  The first claim is the top
-        code alone, against every low code, so that its best score bounds
-        every later claim; a later one takes as many codes as fill a buffer
-        at its nb."""
-        with lock:
-            r0 = cursor[0]
-            if r0 == 0:
-                cursor[0] = 1
-                return 0, 1, 1 << low
-            nb = 0
-            if r0 < 1 << high:
-                # the low ranks with SP[r0] + SQ >= max(seen) - W
-                nb = int(np.searchsorted(reach, W + SP[r0] - max(seen), side="right"))
-            if nb == 0:  # and so for every later claim: SP falls, seen rises
-                cursor[0] = 1 << high
-                return r0, r0, 0
-            cursor[0] = min(r0 + max(1, min(most, block // nb)), 1 << high)
-            return r0, cursor[0], nb
-
-    def screen(worker: int) -> None:
-        P = np.zeros((rows, most), dtype=np.int16)
-        buf = np.empty(rows * block, dtype=np.int16)
-        sums = np.empty(chunks * block, dtype=np.int16)
-        while True:
-            r0, r1, nb = claim()
-            if nb == 0:
-                break
-            P[:npoints, : r1 - r0] = high_half(hi[r0:r1])
-            width = block // (r1 - r0)  # low ranks per block
-            for s0 in range(0, nb, width):
-                out = vals[r0:r1, s0 : min(nb, s0 + width)]
-                _screen_block(P[:, : r1 - r0], Q[:, s0 : s0 + out.shape[1]], chunk, buf, sums, out)
-                best = int(out.max())
-                scored.append((r0, s0, out, best))
-                seen[worker] = max(seen[worker], best)
-
-    if workers == 1:
-        screen(0)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(screen, range(workers)))  # re-raises a worker's error
-    floor = max(seen) - W  # the maximum: every scored block updated seen
+    scored: list[tuple[int, int, np.ndarray, int]] = []  # (r, s, scores, top)
+    best = 0  # the best score so far, or 0: at most the maximum
+    # The high ranks r0 to r1 are screened against the first nb low ranks.
+    # The first claim is the top code alone, against every low code, so that
+    # its best score bounds every later claim; a later one takes the low
+    # ranks whose bound from its first (highest) SP reaches the best score
+    # less W, and as many high codes as fill a buffer at that nb.
+    r0, r1, nb = 0, 1, 1 << low
+    while True:
+        P[:npoints, : r1 - r0] = high_half(hi[r0:r1])
+        width = block // (r1 - r0)  # low ranks per block
+        for s0 in range(0, nb, width):
+            out = vals[r0:r1, s0 : min(nb, s0 + width)]
+            _screen_block(P[:, : r1 - r0], Q[:, s0 : s0 + out.shape[1]], chunk, buf, sums, out)
+            top = int(out.max())
+            scored.append((r0, s0, out, top))
+            best = max(best, top)
+        r0 = r1
+        if r0 == 1 << high:
+            break
+        # the low ranks with SP[r0] + SQ >= best - W
+        nb = int(np.searchsorted(reach, W + SP[r0] - best, side="right"))
+        if nb == 0:  # and so for every later claim: SP falls, best rises
+            break
+        r1 = min(r0 + min(most, block // nb), 1 << high)  # nb <= 2^l <= block
+    floor = best - W  # best is the maximum: every scored block updated it
 
     def window(r0: int, s0: int, out: np.ndarray) -> np.ndarray:
         """Flat ranks, r * 2^l + s, of the block's classes in the window."""
@@ -419,9 +378,9 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
         return i + (r0 << low) + s0
 
     candidates = np.concatenate(
-        [window(r0, s0, out) for r0, s0, out, best in scored if best >= floor]
+        [window(r0, s0, out) for r0, s0, out, top in scored if top >= floor]
     )
-    del vals, scored, Q, points  # not held through the exact pass
+    del vals, scored, out, Q, points, P, buf, sums  # not held through the exact pass
     if high:  # ranks to codes; with one high code they are the codes
         candidates = hi[candidates >> low] << low | lo[candidates & ((1 << low) - 1)]
         candidates.sort()
@@ -465,17 +424,27 @@ def tsvd_step_exhaustive(residual: np.ndarray) -> TsvdStepResult:
         NaN or +-inf.
     """
     R = _finite_residual(residual)
-    I, J = R.shape
-    if min(I, J) > EXHAUSTIVE_LIMIT:
+    _check_enumerable(R.shape)
+    return _exhaustive_step(R)[0]
+
+
+def _check_enumerable(shape: tuple[int, int]) -> None:
+    """Raise ValueError if the smaller side exceeds ``EXHAUSTIVE_LIMIT``."""
+    if min(shape) > EXHAUSTIVE_LIMIT:
         raise ValueError(
-            f"smaller axis {min(I, J)} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}"
+            f"smaller axis {min(shape)} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}"
         )
+
+
+def _exhaustive_step(R: np.ndarray) -> tuple[TsvdStepResult, np.ndarray]:
+    """`tsvd_step_exhaustive` of a finite ``R`` within the limit, and ``R u``."""
+    I, J = R.shape
     if J <= I:
         u = _enumerate_max(R)
     else:
         v = _enumerate_max(R.T)
         u = _sign(R.T @ v)
-    return _step_result(R, u, certified=True)[0]
+    return _step_result(R, u, certified=True)
 
 
 def _criss_cross(R: np.ndarray, U: np.ndarray, tol: float) -> np.ndarray:
@@ -649,7 +618,7 @@ def tca_decompose(
     ValueError
         ``k`` above the numerical rank, unknown strategy, ``restarts < 1``
         (whatever the strategy), or "exhaustive" forced on a table above the
-        enumeration limit.
+        enumeration limit (whatever ``k``).
 
     Notes
     -----
@@ -670,6 +639,8 @@ def tca_decompose(
         raise ValueError(f"unknown strategy {strategy!r}")
     if restarts < 1:  # also when no iterative step runs
         raise ValueError("restarts must be >= 1")
+    if strategy == "exhaustive":  # also when no step runs
+        _check_enumerable(model.shape)
     rank = numerical_rank(model)
     k = resolve_k(k, rank)
 
@@ -691,8 +662,7 @@ def tca_decompose(
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     for alpha in range(k):
         if exhaustive:
-            step = tsvd_step_exhaustive(R)
-            Ru = R @ step.u
+            step, Ru = _exhaustive_step(R)
         else:
             if G is None or np.trace(G) < _REFORM_TRACE * formed:
                 G = _gram(R)

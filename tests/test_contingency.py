@@ -786,7 +786,7 @@ def test_derived_residuals_equal_whole_table_expressions():
 
 def test_tca_starts_from_the_derived_residual(monkeypatch):
     first = []
-    for name in ("tsvd_step_exhaustive", "_iterative_step"):
+    for name in ("_exhaustive_step", "_iterative_step"):
         real = getattr(catax.tca, name)
 
         def spy(residual, *args, _real=real, **kwargs):

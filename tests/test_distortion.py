@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,16 @@ def test_classify_negative_rejected():
         classify(-1.0, 0.5)
     with pytest.raises(ValueError):
         classify(1.0, -0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classify_non_finite_rejected(bad):
+    # refused with no warning on the way, as a scalar or inside an array
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for raw, embedded in ((bad, 1.0), (1.0, bad), ([0.5, bad], [0.5, 0.5])):
+            with pytest.raises(ValueError, match="finite"):
+                classify(raw, embedded)
 
 
 @settings(max_examples=50, deadline=None)
@@ -381,6 +392,14 @@ def test_bounds_errors():
         intrinsic_dimension_bounds([], 1.0)
     with pytest.raises(ValueError):
         intrinsic_dimension_bounds([0.5], 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="total_dispersion must be finite"):
+            intrinsic_dimension_bounds([0.5, 0.3], bad)
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="deltas must be finite"):
+            intrinsic_dimension_bounds([bad, 0.3], 1.0)
+        with pytest.raises(ValueError, match="deltas must be finite"):
+            intrinsic_dimension_bounds([0.5, bad], 1.0)
 
 
 def test_bounds_random_full_rank(models30):

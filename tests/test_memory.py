@@ -29,18 +29,17 @@ power-of-two step, with exact integer sums, so each of its arrays takes at
 most the 4 bytes per element that the bound allows: its int32 scores, one
 slot per sign class in the order it screens them (it writes only the classes
 its bound does not skip), its int16 low-half table, sorted in place, and its
-int16 scoring buffers, one per worker thread and within ``_BLOCK_ELEMENTS``
-elements together.  tracemalloc sees the worker threads' allocations too.
-The classes its window of ``n h`` each way keeps go to the exact pass, which
-holds 16 bytes per candidate (code and float64 score) and one chunk of
-float64 scores and signs within ``4 * _BLOCK_ELEMENTS`` bytes.
+int16 scoring buffer, of at most ``_BLOCK_ELEMENTS`` elements.  The classes
+its window of ``n h`` each way keeps go to the exact pass, which holds 16
+bytes per candidate (code and float64 score) and one chunk of float64 scores
+and signs within ``4 * _BLOCK_ELEMENTS`` bytes; the screen's arrays are freed
+before it.
 """
 
 import gc
 import tracemalloc
 
 import numpy as np
-import pytest
 
 import catax.tca
 from catax import (
@@ -149,11 +148,8 @@ def test_zero_axes_form_no_residual():
     assert not over, f"heap peak in table sizes: {over}"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_exhaustive_screen_heap_peak(monkeypatch, workers):
-    # 400 rows: the low-half table is at its widest (2^12 columns), and at
-    # two workers a block is a share of one high code.
-    monkeypatch.setattr(catax.tca, "_cpu_count", lambda: workers)
+def test_exhaustive_screen_heap_peak():
+    # 400 rows: the low-half table is at its widest (2^12 columns).
     counts = np.random.default_rng(14).poisson(5.0, size=(400, 20)).astype(float)
     D = build_model(table_from_counts(counts)).D
     npoints, m = D.shape

@@ -1,9 +1,8 @@
 import itertools
 import logging
 import re
-import sys
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -181,40 +180,21 @@ def exact_vector_cases(models30):
 
 
 @pytest.mark.parametrize(
-    "low_bits, block_elements, max_m, workers",
-    [
-        (None, None, 15, None),
-        (2, 120, 10, None),
-        (0, 1, 10, None),
-        (3, 40, 10, None),
-        (2, 120, 10, 1),
-        (2, 120, 10, 2),
-        (2, 120, 10, 3),
-    ],
-    ids=[
-        "defaults",
-        "small-blocks",
-        "no-low-half",
-        "low-half-capped-by-block",
-        "small-blocks-1-worker",
-        "small-blocks-2-workers",
-        "small-blocks-3-workers",
-    ],
+    "low_bits, block_elements, max_m",
+    [(None, None, 15), (2, 120, 10), (0, 1, 10), (3, 40, 10)],
+    ids=["defaults", "small-blocks", "no-low-half", "low-half-capped-by-block"],
 )
 def test_exhaustive_exact_vector(
-    exact_vector_cases, monkeypatch, low_bits, block_elements, max_m, workers
+    exact_vector_cases, monkeypatch, low_bits, block_elements, max_m
 ):
     # The certified u is the lexicographically first maximizer, whatever the
-    # meet-in-the-middle split, block size and worker count: wide and tall
-    # tables, 1 to 15 signs, deflated residuals and exact ties.  Without a
-    # worker count the screen uses the CPUs this process may run on; at 120
-    # elements a screen has more blocks than workers, shared unevenly, and
-    # at three workers a taller case's block is a share of one high code.
+    # meet-in-the-middle split and block size: wide and tall tables, 1 to 15
+    # signs, deflated residuals and exact ties.  At 120 elements a screen
+    # spans many blocks, and a claim past the first scores a prefix of its
+    # high codes' low codes.
     if low_bits is not None:
         monkeypatch.setattr(catax.tca, "_LOW_BITS", low_bits)
         monkeypatch.setattr(catax.tca, "_BLOCK_ELEMENTS", block_elements)
-    if workers is not None:
-        monkeypatch.setattr(catax.tca, "_cpu_count", lambda: workers)
     for R, expected in exact_vector_cases:
         if min(R.shape) <= max_m:
             np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, expected)
@@ -243,51 +223,15 @@ def enum_model(seed):
     return build_model(table_from_counts(counts))
 
 
-def test_exhaustive_step_independent_of_worker_count(monkeypatch):
-    # The screen's blocks run on one thread per CPU, and each score is the
-    # same exact integer sum at any worker count, so the step must not
-    # depend on the CPUs.  The 50 x 20 tables and the tall residual span
-    # several blocks at the default size, each two-worker call starting its
-    # threads; the small tie-heavy matrices do at 8 elements a block.
-    pools = []
+def test_exhaustive_step_starts_no_thread(monkeypatch, models30):
+    # The screen runs on the calling thread, one block or many: a 50 x 20
+    # table spans several blocks at the default size.
+    def no_thread(self):
+        pytest.fail("an exhaustive step started a thread")
 
-    class CountedPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(catax.tca, "ThreadPoolExecutor", CountedPool)
-    residuals = [enum_model(seed).D for seed in range(3)]
-    residuals.append(poisson_model((3000, 14), 0).D)
-    ties = tie_heavy_matrices(np.random.default_rng(21), 20)
-    for block_elements, cases in ((catax.tca._BLOCK_ELEMENTS, residuals), (8, ties)):
-        monkeypatch.setattr(catax.tca, "_BLOCK_ELEMENTS", block_elements)
-        for R in cases:
-            steps = []
-            for workers in (1, 2):
-                monkeypatch.setattr(catax.tca, "_cpu_count", lambda: workers)
-                steps.append(tsvd_step_exhaustive(R))
-            one, two = steps
-            np.testing.assert_array_equal(one.u, two.u)
-            np.testing.assert_array_equal(one.v, two.v)
-            assert one.delta == two.delta
-        if cases is residuals:
-            assert pools == [2] * len(residuals)
-    assert len(pools) > len(residuals)  # some tie-heavy screens ran threaded
-
-
-def test_exhaustive_one_block_starts_no_thread(monkeypatch, models30):
-    # A screen that fits one block, as every corpus-sized table's does, runs
-    # inline: it neither asks for the CPUs nor creates an executor, so a
-    # step costs no system call and no thread start.
-    def no_pool(*args, **kwargs):
-        pytest.fail("a one-block screen created an executor")
-
-    monkeypatch.setattr(catax.tca, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(
-        catax.tca, "_cpu_count", lambda: pytest.fail("a one-block screen asked for the CPUs")
-    )
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     tsvd_step_exhaustive(np.random.default_rng(6).normal(size=(6, 8)))
+    tsvd_step_exhaustive(enum_model(0).D)
     for model in models30:
         tca_decompose(model)
 
@@ -462,13 +406,12 @@ def test_step_rejects_non_finite_residual(step, bad):
             step(R)
 
 
-def screened(monkeypatch, workers):
+def screened(monkeypatch):
     """Split the screen's classes into two low bits and blocks of at most 40
-    elements, at ``workers`` workers, and return the list of candidate codes
-    that each exhaustive step hands its exact pass."""
+    elements, and return the list of candidate codes that each exhaustive
+    step hands its exact pass."""
     monkeypatch.setattr(catax.tca, "_LOW_BITS", 2)
     monkeypatch.setattr(catax.tca, "_BLOCK_ELEMENTS", 40)
-    monkeypatch.setattr(catax.tca, "_cpu_count", lambda: workers)
     candidates = []
     exact_pass = catax.tca._exact_pass
 
@@ -513,35 +456,33 @@ LOWEST_BOUND_MAXIMIZER = np.array(
 )
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("rtol", [None, 1.0], ids=["default-rtol", "every-class"])
-def test_exhaustive_prune_reaches_lowest_bound(monkeypatch, workers, rtol):
+def test_exhaustive_prune_reaches_lowest_bound(monkeypatch, rtol):
     # The screen takes the high codes by descending bound and skips the low
     # codes whose bound falls short of the window; the maximizer's high code
     # comes last and must still be scored against its low code.  At 40
-    # elements a block holds one high code, half of one or one class.  With
-    # _SHORTLIST_RTOL = 1 every class is a candidate and none can be pruned.
+    # elements a block holds one high code.  With _SHORTLIST_RTOL = 1 every
+    # class is a candidate and none can be pruned.
     M = LOWEST_BOUND_MAXIMIZER
     _, bounds, _, _ = integer_screen(M, 2)
     bounds = bounds[::4]  # one per high code
     first = np.flatnonzero((shifted_signs(np.arange(32), 6) == brute_argmax(M)).all(axis=1))[0]
     assert bounds[first >> 2] < np.delete(bounds, first >> 2).min()
-    candidates = screened(monkeypatch, workers)
+    candidates = screened(monkeypatch)
     if rtol is not None:
         monkeypatch.setattr(catax.tca, "_SHORTLIST_RTOL", rtol)
     for R in (M, M.T, M / 3):
         check_screened_step(R, candidates)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("window", ["edge", "every-class"])
-def test_exhaustive_prune_keeps_window_edge(monkeypatch, workers, window):
+def test_exhaustive_prune_keeps_window_edge(monkeypatch, window):
     # Tie-heavy matrices and their thirds, whose tied classes the screen
     # rounds apart.  With the window widened to end exactly on the score of
     # a class 2n steps or more below the best, that class and every one
     # above it must reach the exact pass, and no other; with
     # _SHORTLIST_RTOL = 1 every class does, and none can be pruned.
-    candidates = screened(monkeypatch, workers)
+    candidates = screened(monkeypatch)
     edges = 0
     for R in tie_heavy_matrices(np.random.default_rng(29), 40):
         M = R if R.shape[1] <= R.shape[0] else R.T
@@ -560,24 +501,9 @@ def test_exhaustive_prune_keeps_window_edge(monkeypatch, workers, window):
     assert window != "edge" or edges >= 20
 
 
-def test_exhaustive_screen_claims_under_thread_switching(monkeypatch):
-    # Eight workers, more than the CPUs, switching threads about every
-    # microsecond: each high code must still be claimed and scored once, or
-    # the classes handed to the exact pass would move.
-    candidates = screened(monkeypatch, 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for R in tie_heavy_matrices(np.random.default_rng(31), 20):
-            check_screened_step(R, candidates)
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_exhaustive_prune_engages(monkeypatch):
     # On 50 x 20 Poisson tables the bound leaves the first axis's screen
     # well under 60% of the 2^19 classes to score.
-    monkeypatch.setattr(catax.tca, "_cpu_count", lambda: 1)
     screen_block = catax.tca._screen_block
     scored = []
 
