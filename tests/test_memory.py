@@ -33,13 +33,16 @@ int16 scoring buffer, of at most ``_BLOCK_ELEMENTS`` elements.  The classes
 its window of ``n h`` each way keeps go to the exact pass, which holds 16
 bytes per candidate (code and float64 score) and one chunk of float64 scores
 and signs within ``4 * _BLOCK_ELEMENTS`` bytes; the screen's arrays are freed
-before it.
+before it.  Threads that call the step at once share none of these arrays,
+and tracemalloc sees all of their allocations.
 """
 
 import gc
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 import catax.tca
 from catax import (
@@ -148,20 +151,29 @@ def test_zero_axes_form_no_residual():
     assert not over, f"heap peak in table sizes: {over}"
 
 
-def test_exhaustive_screen_heap_peak():
-    # 400 rows: the low-half table is at its widest (2^12 columns).
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exhaustive_screen_heap_peak(workers):
+    # 400 rows: the low-half table is at its widest (2^12 columns).  The
+    # screen holds its arrays on the calling thread, so ``workers`` threads
+    # screening at once hold no more than that many screens' bounds.
     counts = np.random.default_rng(14).poisson(5.0, size=(400, 20)).astype(float)
     D = build_model(table_from_counts(counts)).D
     npoints, m = D.shape
     scores = 4 << (m - 1)
     buffers = 4 * catax.tca._BLOCK_ELEMENTS
     low_table = 4 * npoints << catax.tca._LOW_BITS
+
+    def at_once():
+        with ThreadPoolExecutor(workers) as pool:
+            for future in [pool.submit(tsvd_step_exhaustive, D) for _ in range(workers)]:
+                future.result()
+
     tracemalloc.start()
     try:
-        peak, _ = heap_peak(lambda: tsvd_step_exhaustive(D))
+        peak, _ = heap_peak(at_once)
     finally:
         tracemalloc.stop()
-    assert peak <= scores + buffers + low_table, f"heap peak {peak} bytes"
+    assert peak <= workers * (scores + buffers + low_table), f"heap peak {peak} bytes"
 
 
 def test_exhaustive_exact_pass_heap_peak():

@@ -1,8 +1,10 @@
 import itertools
 import logging
 import re
+import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -179,25 +181,64 @@ def exact_vector_cases(models30):
     return [(R, brute_step_u(R)) for R in cases]
 
 
+def at_once(workers, check):
+    """Run ``check`` on ``workers`` threads at once, switching threads about
+    every microsecond, and raise the first failure: callers must share no
+    state with each other."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            for future in [pool.submit(check) for _ in range(workers)]:
+                future.result()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize(
-    "low_bits, block_elements, max_m",
-    [(None, None, 15), (2, 120, 10), (0, 1, 10), (3, 40, 10)],
-    ids=["defaults", "small-blocks", "no-low-half", "low-half-capped-by-block"],
+    "low_bits, block_elements, max_m, workers",
+    [
+        (None, None, 15, None),
+        (2, 120, 10, None),
+        (0, 1, 10, None),
+        (3, 40, 10, None),
+        (2, 120, 10, 1),
+        (2, 120, 10, 2),
+        (2, 120, 10, 3),
+    ],
+    ids=[
+        "defaults",
+        "small-blocks",
+        "no-low-half",
+        "low-half-capped-by-block",
+        "small-blocks-1-worker",
+        "small-blocks-2-workers",
+        "small-blocks-3-workers",
+    ],
 )
 def test_exhaustive_exact_vector(
-    exact_vector_cases, monkeypatch, low_bits, block_elements, max_m
+    exact_vector_cases, monkeypatch, low_bits, block_elements, max_m, workers
 ):
     # The certified u is the lexicographically first maximizer, whatever the
     # meet-in-the-middle split and block size: wide and tall tables, 1 to 15
     # signs, deflated residuals and exact ties.  At 120 elements a screen
     # spans many blocks, and a claim past the first scores a prefix of its
-    # high codes' low codes.
+    # high codes' low codes.  The screen keeps its running best and buffers
+    # on the calling thread, so with a worker count that many caller threads
+    # screen every case at once, each getting the same u.
     if low_bits is not None:
         monkeypatch.setattr(catax.tca, "_LOW_BITS", low_bits)
         monkeypatch.setattr(catax.tca, "_BLOCK_ELEMENTS", block_elements)
-    for R, expected in exact_vector_cases:
-        if min(R.shape) <= max_m:
-            np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, expected)
+
+    def check():
+        for R, expected in exact_vector_cases:
+            if min(R.shape) <= max_m:
+                np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, expected)
+
+    if workers is None:
+        check()
+    else:
+        at_once(workers, check)
 
 
 @pytest.mark.parametrize("cap", [1, 4])
@@ -408,32 +449,39 @@ def test_step_rejects_non_finite_residual(step, bad):
 
 def screened(monkeypatch):
     """Split the screen's classes into two low bits and blocks of at most 40
-    elements, and return the list of candidate codes that each exhaustive
-    step hands its exact pass."""
+    elements, and return a thread-local record whose ``candidates`` list
+    gets the candidate codes that each exhaustive step on that thread hands
+    its exact pass."""
     monkeypatch.setattr(catax.tca, "_LOW_BITS", 2)
     monkeypatch.setattr(catax.tca, "_BLOCK_ELEMENTS", 40)
-    candidates = []
+    record = threading.local()
     exact_pass = catax.tca._exact_pass
 
     def spy(M, codes, total):
-        candidates.append(codes.copy())
+        record.candidates.append(codes.copy())
         return exact_pass(M, codes, total)
 
     monkeypatch.setattr(catax.tca, "_exact_pass", spy)
-    return candidates
+    return record
 
 
-def check_screened_step(R, candidates):
+def check_screened_step(R, record, workers=1):
     """The step's u against brute force, and the classes it hands the exact
-    pass against the integer screen's window, the oracle's brute force."""
+    pass against the integer screen's window, the oracle's brute force, on
+    each of ``workers`` threads screening ``R`` at once."""
     M = R if R.shape[1] <= R.shape[0] else R.T
     (n, m), rtol = M.shape, catax.tca._SHORTLIST_RTOL
     assert 40 // n >= 4  # so the screen splits off min(m - 1, 2) low bits
     scores, _, _, S = integer_screen(M, min(m - 1, 2))
-    candidates.clear()
-    np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, brute_step_u(R))
     window = np.flatnonzero(scores >= scores.max() - screen_window(n, m, S, rtol))
-    np.testing.assert_array_equal(candidates[0], window)
+    expected = brute_step_u(R)
+
+    def check():
+        record.candidates = []
+        np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, expected)
+        np.testing.assert_array_equal(record.candidates[0], window)
+
+    at_once(workers, check)
 
 
 # A 9 x 6 table whose lexicographically first maximizer lies in the high code
@@ -456,33 +504,37 @@ LOWEST_BOUND_MAXIMIZER = np.array(
 )
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("rtol", [None, 1.0], ids=["default-rtol", "every-class"])
-def test_exhaustive_prune_reaches_lowest_bound(monkeypatch, rtol):
+def test_exhaustive_prune_reaches_lowest_bound(monkeypatch, workers, rtol):
     # The screen takes the high codes by descending bound and skips the low
     # codes whose bound falls short of the window; the maximizer's high code
     # comes last and must still be scored against its low code.  At 40
     # elements a block holds one high code.  With _SHORTLIST_RTOL = 1 every
-    # class is a candidate and none can be pruned.
+    # class is a candidate and none can be pruned.  Each of ``workers``
+    # threads screening the same residual at once hands on the same classes.
     M = LOWEST_BOUND_MAXIMIZER
     _, bounds, _, _ = integer_screen(M, 2)
     bounds = bounds[::4]  # one per high code
     first = np.flatnonzero((shifted_signs(np.arange(32), 6) == brute_argmax(M)).all(axis=1))[0]
     assert bounds[first >> 2] < np.delete(bounds, first >> 2).min()
-    candidates = screened(monkeypatch)
+    record = screened(monkeypatch)
     if rtol is not None:
         monkeypatch.setattr(catax.tca, "_SHORTLIST_RTOL", rtol)
     for R in (M, M.T, M / 3):
-        check_screened_step(R, candidates)
+        check_screened_step(R, record, workers)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("window", ["edge", "every-class"])
-def test_exhaustive_prune_keeps_window_edge(monkeypatch, window):
+def test_exhaustive_prune_keeps_window_edge(monkeypatch, workers, window):
     # Tie-heavy matrices and their thirds, whose tied classes the screen
     # rounds apart.  With the window widened to end exactly on the score of
     # a class 2n steps or more below the best, that class and every one
     # above it must reach the exact pass, and no other; with
-    # _SHORTLIST_RTOL = 1 every class does, and none can be pruned.
-    candidates = screened(monkeypatch)
+    # _SHORTLIST_RTOL = 1 every class does, and none can be pruned, on each
+    # of ``workers`` threads screening the same matrix at once.
+    record = screened(monkeypatch)
     edges = 0
     for R in tie_heavy_matrices(np.random.default_rng(29), 40):
         M = R if R.shape[1] <= R.shape[0] else R.T
@@ -497,7 +549,7 @@ def test_exhaustive_prune_keeps_window_edge(monkeypatch, window):
             assert screen_window(n, m, S, rtol) == width
             edges += 1
         monkeypatch.setattr(catax.tca, "_SHORTLIST_RTOL", rtol)
-        check_screened_step(R, candidates)
+        check_screened_step(R, record, workers)
     assert window != "edge" or edges >= 20
 
 
