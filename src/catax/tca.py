@@ -20,12 +20,16 @@ screen keeps the classes within a window of 2 n h (and float64 terms) of the
 best, which provably holds every finalist.  A class scores at most the sum
 of its two rounded halves' exact L1 norms, so the screen skips every class
 whose bound falls below a score already seen less the window: such a class
-lies outside the window too.  The screen runs on the calling thread, and its
+lies outside the window too.  It scores a block of classes one chunk of
+points at a time, through a buffer of ``chunk x block`` elements sized to
+stay in cache whatever n is.  The screen runs on the calling thread, and its
 partial sums are formed by ``np.einsum`` rather than BLAS, so each score is
-the same on any BLAS kernel.  Larger problems use criss-cross ascent
-(``v <- sign(R u)``, ``u <- sign(R^T v)``; Choulakian, Psychometrika 71(2),
-2006) from deterministic and seeded random starts, all advanced together:
-each half-step is one matrix-matrix product over every start still moving.
+the same on any BLAS kernel.  Steps of at most ``_DIRECT_CLASS_POINTS``
+class-points (n * 2^(m-1)) skip it: there every class goes to the finalist
+rule.  Above the exhaustive threshold, criss-cross ascent (``v <- sign(R
+u)``, ``u <- sign(R^T v)``; Choulakian, Psychometrika 71(2), 2006) runs from
+deterministic and seeded random starts, all advanced together: each
+half-step is one matrix-matrix product over every start still moving.
 Both solvers then apply one finalist rule to their candidates (surviving
 classes or distinct fixed points, in lexicographic order): keep those whose
 float64 bulk score is within ``1e-9 * sum|R|`` of the best, re-score them one
@@ -83,9 +87,11 @@ _SHORTLIST_CAP = 1 << 16
 # the int16 fixed-point screen of a 50 x 20 table ran fastest at 12 of 10 to
 # 14 bits.
 _LOW_BITS = 12
-# The first pass's int16 scoring buffer and the bound on its int16 low-half
-# table, in elements (4 MB each); the exact pass's float64 scores and signs
-# of one chunk of candidates take 8 MB.
+# The bound on the first pass's int16 low-half table, in elements (4 MB).
+# The screen's int16 working set, one chunk of points by one block of
+# classes, takes at most a quarter of it (1 MB, within a 2 MB L2 cache), and
+# the high half of a claim's codes another quarter; the exact pass's float64
+# scores and signs of one chunk of candidates take 8 MB.
 _BLOCK_ELEMENTS = 1 << 21
 # The integer screen sums at most this many points, g, in int16 before it
 # adds the chunk's sum to the class's int32 score.  The step is set from the
@@ -94,6 +100,13 @@ _BLOCK_ELEMENTS = 1 << 21
 # sum|Ms|, at most twice that as the step is a power of two; 64 keeps a
 # 50-point table in one chunk.
 _CHUNK_POINTS = 64
+# A step of at most this many class-points, n * 2^(m-1), skips the screen
+# and hands every code to the exact pass, whose one matrix product then costs
+# less than the screen's fixed numpy calls: on random n x m matrices of 2^13
+# to 2^16.3 class-points it took 0.5 to 0.82 of the screened step's time,
+# and from 2^17 up to 1.6 times it (at 40 x 13), as its products grow with m
+# (numpy 2.4, 2-vCPU VM).
+_DIRECT_CLASS_POINTS = 1 << 15
 
 # tca_decompose forms the iterative steps' start Gram again from the residual
 # when the deflated update's trace falls below this fraction of the trace at
@@ -178,19 +191,27 @@ def _first_max(M: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _screen_block(
-    P: np.ndarray, Q: np.ndarray, chunk: int, buf: np.ndarray, sums: np.ndarray, out: np.ndarray
+    P: np.ndarray, Q: np.ndarray, chunk: int, buf: np.ndarray, part: np.ndarray, out: np.ndarray
 ) -> None:
     """Write the integer score ``sum_i |P[i, a] + Q[i, b]|`` of each pair of
     an int16 high-half column ``a`` and low-half column ``b`` into ``out[a,
-    b]``: int16 sums over chunks of ``chunk`` points, added in int32.  ``buf``
-    and ``sums`` are int16 scratch for the pairs' points and chunk sums."""
-    rows, (na, nb) = P.shape[0], out.shape
-    scores = buf[: rows * na * nb].reshape(rows, na, nb)
-    np.add(P[:, :, None], Q[:, None, :], out=scores)
-    np.abs(scores, out=scores)
-    part = sums[: rows // chunk * na * nb].reshape(rows // chunk, na * nb)
-    np.add.reduce(scores.reshape(rows // chunk, chunk, -1), axis=1, out=part)
-    np.add.reduce(part.reshape(-1, na, nb), axis=0, dtype=np.int32, out=out)
+    b]``, one chunk of at most ``chunk`` points at a time: the chunk's
+    ``|P + Q|``, ``chunk x na x nb`` elements, is formed in ``buf`` and
+    summed in int16 into the class-sized ``part``, which is added into
+    ``out`` in int32.  Only ``buf`` is walked per point, and it is sized to
+    stay in cache."""
+    npoints, (na, nb) = P.shape[0], out.shape
+    part = part[: na * nb].reshape(na, nb)
+    for c in range(0, npoints, chunk):
+        points = slice(c, c + chunk)
+        scores = buf[: min(chunk, npoints - c) * na * nb].reshape(-1, na, nb)
+        np.add(P[points, :, None], Q[points, None, :], out=scores)
+        np.abs(scores, out=scores)
+        np.add.reduce(scores, axis=0, out=part)
+        if c:
+            out += part
+        else:
+            out[...] = part
 
 
 def _enumerate_max(M: np.ndarray) -> np.ndarray:
@@ -201,18 +222,22 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     splits x into a high half (the fixed ``x_0 = +1`` and the ``m - 1 - l``
     most significant free bits, code ``a``) and a low half (the other ``l``
     bits, code ``b``), so its score is ``sum_i |P[i, a] + Q[i, b]|`` with
-    ``Q = Ms_l X_l^T`` and ``P = Ms_h X_h^T``, the latter one block of codes
-    at a time, summed in a reused buffer: ``I * 2^(m-1)`` additions in place
-    of the dense ``I * m * 2^(m-1)`` multiply-adds.  ``Ms = M / h`` is ``M``
+    ``Q = Ms_l X_l^T`` and ``P = Ms_h X_h^T``, the latter one claim of codes
+    at a time: ``I * 2^(m-1)`` additions in place of the dense
+    ``I * m * 2^(m-1)`` multiply-adds.  ``Ms = M / h`` is ``M``
     in steps of ``h``, a power of two set from the points' share of
     ``sum|M|`` so that no int16 sum over a chunk of ``_CHUNK_POINTS`` points
     can pass 2^15 - 1: an exact scaling.  ``P`` and ``Q`` are formed in
     float64 by ``np.einsum``, which calls no BLAS, so they do not depend on
     the BLAS kernel, and rounded to int16; the chunk sums are added in
     int32.  Integer sums are exact in any order, so the screen decides alike
-    at every power-of-two scale and block size.  It runs on the calling
-    thread, taking the high codes in turn and screening them into their
-    rows of the scores through one buffer.
+    at every power-of-two scale, block size and chunk.  It runs on the
+    calling thread, taking the high codes in turn and screening a block of
+    classes at a time, one chunk of points at a time, through one buffer of
+    ``chunk x block`` elements: the block is set from the chunk, so the
+    buffer stays within a quarter of ``_BLOCK_ELEMENTS`` however many points
+    there are.  A step of at most ``_DIRECT_CLASS_POINTS`` class-points
+    skips the screen and hands every class to the exact pass.
 
     The screen skips the classes that cannot reach its window (branch and
     bound; Land & Doig, Econometrica 28(3), 1960).  By the triangle
@@ -224,7 +249,7 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     score so far less the window.  A score seen is at most the maximum, so a
     skipped class lies below the window: the candidates are those a full
     screen keeps, and with them every finalist.  On 50 x 20 Poisson tables
-    the screen scores 10 to 50% of the classes; where the larger side is
+    the screen scores 10 to 46% of the classes; where the larger side is
     many times the smaller, nearly all.
 
     The classes within a window of about ``2 n h`` of the best (see below)
@@ -241,6 +266,8 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     total = A.sum()
     if total == 0:
         return np.ones(m)  # zero residual: every class ties at 0
+    if npoints << (m - 1) <= _DIRECT_CLASS_POINTS:
+        return _exact_pass(M, np.arange(1 << (m - 1)), total)
     # The step h = 2^e.  In steps, a point's |P + Q| is at most its row's
     # sum|M| over h, plus one for the rounding of P and Q (half a step each),
     # so a chunk of g points sums to at most its share of sum|M| over h, plus
@@ -255,6 +282,7 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     else:
         share = np.add.reduceat(A.sum(axis=1), np.arange(0, npoints, chunk)).max()
     e = math.frexp(A.max())[1]
+    del A  # not held through the screen
     frac, exp = math.frexp(math.ldexp(share, -e) / (32766 - chunk))
     e += exp - (frac == 0.5)  # at frac = 0.5 the quotient is 2^(exp - 1)
     Ms = np.ldexp(M, -e)  # M in steps, exactly
@@ -277,11 +305,7 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     # raise it to make every class a candidate.
     S = math.ldexp(total, -e)  # sum|M| in steps
     W = 2 * npoints + math.ceil(((npoints + 2 * m) * 2.0**-51 + _SHORTLIST_RTOL) * S)
-    # The points are padded with zero ones to whole chunks, which add 0 to
-    # every score, so that each block's chunks are summed by one call.
-    chunks = -(-npoints // chunk)
-    rows = chunks * chunk
-    low = min(m - 1, _LOW_BITS, max(0, (_BLOCK_ELEMENTS // rows).bit_length() - 1))
+    low = min(m - 1, _LOW_BITS, max(0, (_BLOCK_ELEMENTS // npoints).bit_length() - 1))
     high = m - 1 - low
     codes = 1 << (m - 1)
     # Q's sign table is transposed to be contiguous, which einsum runs about
@@ -293,16 +317,16 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     # product, sum and rounding, so only the first half of Q is summed.
     half = (1 << low) >> 1
     XT = np.ascontiguousarray(_signs(np.arange(half), low + 1)[:, 1:].T)
-    Q = np.zeros((rows, 1 << low), dtype=np.int16)
-    points = Q[:npoints]  # the padding stays 0
+    Q = np.zeros((npoints, 1 << low), dtype=np.int16)  # one zero column at l = 0
     for b in _row_blocks(npoints, 1 << low):
-        points[b, :half] = np.rint(np.einsum("ij,jk->ik", Ms[b, high + 1 :], XT))
-        points[b, half:] = -points[b, half - 1 :: -1]
+        Q[b, :half] = np.rint(np.einsum("ij,jk->ik", Ms[b, high + 1 :], XT))
+        Q[b, half:] = -Q[b, half - 1 :: -1]
     del XT  # not held through the screen
 
     def high_half(a: np.ndarray) -> np.ndarray:
         """P of the high codes ``a``, one column each, in whole steps."""
-        return np.rint(np.einsum("ij,kj->ik", Ms[:, : high + 1], _signs(a, high + 1)))
+        Pa = np.einsum("ij,kj->ik", Ms[:, : high + 1], _signs(a, high + 1))
+        return np.rint(Pa, out=Pa)
 
     # The high codes by descending SP and the low codes by descending SQ,
     # the ranks in which the screen takes them.  The first claim of the
@@ -315,11 +339,12 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
         for a0 in range(0, 1 << high, per):
             Pa = high_half(np.arange(a0, min(a0 + per, 1 << high)))
             SP[a0 : a0 + per] = np.abs(Pa, out=Pa).sum(axis=0)
+            del Pa  # not held while the next codes' P is formed, nor after
         hi = np.argsort(-SP)
         SP = SP[hi]
         SQ = np.zeros(1 << low, dtype=np.int64)
         for b in _row_blocks(npoints, 1 << low):
-            SQ[:half] += np.abs(points[b, :half]).sum(axis=0)
+            SQ[:half] += np.abs(Q[b, :half]).sum(axis=0)
         SQ[half:] = SQ[half - 1 :: -1]  # Q's second half negates its first
         # Q's columns are moved to that order in place, so that the screen
         # reads a prefix of them: a non-contiguous selection of Q's columns
@@ -327,19 +352,21 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
         # any order.
         lo = np.argsort(-SQ)
         for b in _row_blocks(npoints, 1 << low):
-            points[b] = np.take(points[b], lo, axis=1)
+            Q[b] = np.take(Q[b], lo, axis=1)
         # ascending: SQ >= t on the first searchsorted(reach, -t, "right")
         reach = -SQ[lo]
-    # The buffer holds ``block`` classes, whole high codes: one fits, as 2^l
-    # is at most ``span``.
-    span = max(1, _BLOCK_ELEMENTS // rows)
-    block = min(codes, span >> low << low)
-    # P holds at most ``most`` high codes: the codes of one buffer, or a
-    # 64th of a buffer's classes where the later claims need more.
+    # A block holds ``block`` classes, whole high codes: as many as make a
+    # working set of one chunk of points by ``block`` classes within a
+    # quarter of _BLOCK_ELEMENTS, and at least one high code.
+    block = min(codes, max(1 << low, (_BLOCK_ELEMENTS >> 2) // chunk >> low << low))
+    # P holds at most ``most`` high codes: the codes of one block, or a 64th
+    # of a block's classes where the later claims need more, and no more
+    # than fill a quarter of _BLOCK_ELEMENTS.
     most = max(block >> low, block // 64)
-    P = np.zeros((rows, most), dtype=np.int16)
-    buf = np.empty(rows * block, dtype=np.int16)
-    sums = np.empty(chunks * block, dtype=np.int16)
+    most = max(1, min(most, (_BLOCK_ELEMENTS >> 2) // npoints))
+    P = np.empty((npoints, most), dtype=np.int16)
+    buf = np.empty(chunk * block, dtype=np.int16)
+    part = np.empty(block, dtype=np.int16)
     # Scores by rank: those of classes hi[r] * 2^l + lo[s] at [r, s].  Only
     # the scored blocks are written, and only they are read back.
     vals = np.empty((1 << high, 1 << low), dtype=np.int32)
@@ -352,11 +379,11 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     # less W, and as many high codes as fill a buffer at that nb.
     r0, r1, nb = 0, 1, 1 << low
     while True:
-        P[:npoints, : r1 - r0] = high_half(hi[r0:r1])
+        P[:, : r1 - r0] = high_half(hi[r0:r1])
         width = block // (r1 - r0)  # low ranks per block
         for s0 in range(0, nb, width):
             out = vals[r0:r1, s0 : min(nb, s0 + width)]
-            _screen_block(P[:, : r1 - r0], Q[:, s0 : s0 + out.shape[1]], chunk, buf, sums, out)
+            _screen_block(P[:, : r1 - r0], Q[:, s0 : s0 + out.shape[1]], chunk, buf, part, out)
             top = int(out.max())
             scored.append((r0, s0, out, top))
             best = max(best, top)
@@ -380,7 +407,7 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     candidates = np.concatenate(
         [window(r0, s0, out) for r0, s0, out, top in scored if top >= floor]
     )
-    del vals, scored, out, Q, points, P, buf, sums  # not held through the exact pass
+    del vals, scored, out, Ms, Q, P, buf, part  # not held through the exact pass
     if high:  # ranks to codes; with one high code they are the codes
         candidates = hi[candidates >> low] << low | lo[candidates & ((1 << low) - 1)]
         candidates.sort()

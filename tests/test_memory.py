@@ -28,13 +28,17 @@ by table sizes.  It scores in int16 fixed point, on multiples of a
 power-of-two step, with exact integer sums, so each of its arrays takes at
 most the 4 bytes per element that the bound allows: its int32 scores, one
 slot per sign class in the order it screens them (it writes only the classes
-its bound does not skip), its int16 low-half table, sorted in place, and its
-int16 scoring buffer, of at most ``_BLOCK_ELEMENTS`` elements.  The classes
-its window of ``n h`` each way keeps go to the exact pass, which holds 16
-bytes per candidate (code and float64 score) and one chunk of float64 scores
-and signs within ``4 * _BLOCK_ELEMENTS`` bytes; the screen's arrays are freed
-before it.  Threads that call the step at once share none of these arrays,
-and tracemalloc sees all of their allocations.
+its bound does not skip); its int16 low-half table, sorted in place, of at
+most ``_BLOCK_ELEMENTS`` elements; and its int16 working set, one chunk of
+at most ``_CHUNK_POINTS`` points by one block of classes, within a quarter
+of ``_BLOCK_ELEMENTS``, beside ``P``, the high half of a claim's codes,
+within another quarter.  A block is sized from the chunk, not from the
+table's rows, so a tall table's block is as wide as a short one's.  The
+classes its window of ``n h`` each way keeps go to the exact pass, which
+holds 16 bytes per candidate (code and float64 score) and one chunk of
+float64 scores and signs within ``4 * _BLOCK_ELEMENTS`` bytes; the screen's
+arrays are freed before it.  Threads that call the step at once share none
+of these arrays, and tracemalloc sees all of their allocations.
 """
 
 import gc
@@ -174,6 +178,28 @@ def test_exhaustive_screen_heap_peak(workers):
     finally:
         tracemalloc.stop()
     assert peak <= workers * (scores + buffers + low_table), f"heap peak {peak} bytes"
+
+
+@pytest.mark.parametrize("shape", [(2000, 16), (20000, 16)], ids=["2000x16", "20000x16"])
+def test_exhaustive_tall_screen_heap_peak(shape):
+    # A block of classes is sized from one chunk of points, not from the
+    # table's rows, so on a tall table it stays as wide as on a short one:
+    # P, whose columns are the high codes of a claim, must keep within the
+    # buffers' bound by its own cap, as must the chunk's buffer.  The
+    # low-half table has at most _BLOCK_ELEMENTS elements (2^6 columns at
+    # 20000 rows), so the bound allows no more than that for it.
+    counts = np.random.default_rng(16).poisson(5.0, size=shape).astype(float)
+    D = build_model(table_from_counts(counts)).D
+    npoints, m = D.shape
+    scores = 4 << (m - 1)
+    buffers = 4 * catax.tca._BLOCK_ELEMENTS
+    low_table = min(4 * npoints << catax.tca._LOW_BITS, 4 * catax.tca._BLOCK_ELEMENTS)
+    tracemalloc.start()
+    try:
+        peak, _ = heap_peak(lambda: tsvd_step_exhaustive(D))
+    finally:
+        tracemalloc.stop()
+    assert peak <= scores + buffers + low_table, f"heap peak {peak} bytes"
 
 
 def test_exhaustive_exact_pass_heap_peak():
