@@ -24,12 +24,10 @@ lies outside the window too.  It scores a block of classes one chunk of
 points at a time, through a buffer of ``chunk x block`` elements sized to
 stay in cache whatever n is.  The screen runs on the calling thread, and its
 partial sums are formed by ``np.einsum`` rather than BLAS, so each score is
-the same on any BLAS kernel.  Steps of at most ``_DIRECT_CLASS_POINTS``
-class-points (n * 2^(m-1)) skip it: there every class goes to the finalist
-rule.  Above the exhaustive threshold, criss-cross ascent (``v <- sign(R
-u)``, ``u <- sign(R^T v)``; Choulakian, Psychometrika 71(2), 2006) runs from
-deterministic and seeded random starts, all advanced together: each
-half-step is one matrix-matrix product over every start still moving.
+the same on any BLAS kernel.  Larger problems use criss-cross ascent
+(``v <- sign(R u)``, ``u <- sign(R^T v)``; Choulakian, Psychometrika 71(2),
+2006) from deterministic and seeded random starts, all advanced together:
+each half-step is one matrix-matrix product over every start still moving.
 Both solvers then apply one finalist rule to their candidates (surviving
 classes or distinct fixed points, in lexicographic order): keep those whose
 float64 bulk score is within ``1e-9 * sum|R|`` of the best, re-score them one
@@ -100,13 +98,6 @@ _BLOCK_ELEMENTS = 1 << 21
 # sum|Ms|, at most twice that as the step is a power of two; 64 keeps a
 # 50-point table in one chunk.
 _CHUNK_POINTS = 64
-# A step of at most this many class-points, n * 2^(m-1), skips the screen
-# and hands every code to the exact pass, whose one matrix product then costs
-# less than the screen's fixed numpy calls: on random n x m matrices of 2^13
-# to 2^16.3 class-points it took 0.5 to 0.82 of the screened step's time,
-# and from 2^17 up to 1.6 times it (at 40 x 13), as its products grow with m
-# (numpy 2.4, 2-vCPU VM).
-_DIRECT_CLASS_POINTS = 1 << 15
 
 # tca_decompose forms the iterative steps' start Gram again from the residual
 # when the deflated update's trace falls below this fraction of the trace at
@@ -236,8 +227,7 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     classes at a time, one chunk of points at a time, through one buffer of
     ``chunk x block`` elements: the block is set from the chunk, so the
     buffer stays within a quarter of ``_BLOCK_ELEMENTS`` however many points
-    there are.  A step of at most ``_DIRECT_CLASS_POINTS`` class-points
-    skips the screen and hands every class to the exact pass.
+    there are.
 
     The screen skips the classes that cannot reach its window (branch and
     bound; Land & Doig, Econometrica 28(3), 1960).  By the triangle
@@ -266,8 +256,6 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     total = A.sum()
     if total == 0:
         return np.ones(m)  # zero residual: every class ties at 0
-    if npoints << (m - 1) <= _DIRECT_CLASS_POINTS:
-        return _exact_pass(M, np.arange(1 << (m - 1)), total)
     # The step h = 2^e.  In steps, a point's |P + Q| is at most its row's
     # sum|M| over h, plus one for the rounding of P and Q (half a step each),
     # so a chunk of g points sums to at most its share of sum|M| over h, plus

@@ -149,19 +149,6 @@ def brute_step_u(R):
     return np.where(R.T @ v >= 0, 1.0, -1.0)  # sign(0) = +1
 
 
-# _DIRECT_CLASS_POINTS that send every exhaustive step through the integer
-# screen, or every step's codes straight to the exact pass, whatever its size.
-PATHS = {"screened": 0, "direct": 1 << 62}
-
-
-def each_path(monkeypatch):
-    """Yield each name of `PATHS` with its threshold set."""
-    for path, threshold in PATHS.items():
-        with monkeypatch.context() as patch:
-            patch.setattr(catax.tca, "_DIRECT_CLASS_POINTS", threshold)
-            yield path
-
-
 def tie_heavy_matrices(rng, count):
     """Small-integer matrices, many of whose sign classes tie, and their
     thirds, whose ties the first pass and the re-score round differently."""
@@ -242,15 +229,13 @@ def test_exhaustive_exact_vector(
     # meet-in-the-middle split and block size: wide and tall tables, 1 to 15
     # signs, deflated residuals and exact ties.  At 120 elements a screen
     # spans many blocks, and a claim past the first scores a prefix of its
-    # high codes' low codes; with the block sizes set, every step is
-    # screened, however small.  The tall cases stream two or three chunks of
+    # high codes' low codes.  The tall cases stream two or three chunks of
     # points, the last one partial.  The screen keeps its running best and
     # buffers on the calling thread, so with a worker count that many caller
     # threads screen every case at once, each getting the same u.
     if low_bits is not None:
         monkeypatch.setattr(catax.tca, "_LOW_BITS", low_bits)
         monkeypatch.setattr(catax.tca, "_BLOCK_ELEMENTS", block_elements)
-        monkeypatch.setattr(catax.tca, "_DIRECT_CLASS_POINTS", 0)
 
     def check():
         for R, expected in exact_vector_cases:
@@ -263,39 +248,6 @@ def test_exhaustive_exact_vector(
         at_once(workers, check)
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
-def test_exhaustive_screened_and_direct_paths(exact_vector_cases, monkeypatch, path):
-    # Every step through the integer screen, or every step's codes straight
-    # to the exact pass: either way u is the brute-force first maximizer.
-    monkeypatch.setattr(catax.tca, "_DIRECT_CLASS_POINTS", PATHS[path])
-    for R, expected in exact_vector_cases:
-        np.testing.assert_array_equal(tsvd_step_exhaustive(R).u, expected)
-
-
-def test_small_steps_skip_the_screen(monkeypatch):
-    # At most _DIRECT_CLASS_POINTS class-points a step scores no block; a
-    # 50 x 20 step, 50 * 2^19 class-points, screens.
-    screen_block = catax.tca._screen_block
-    blocks = []
-
-    def spy(*args):
-        blocks.append(args[-1].size)
-        screen_block(*args)
-
-    monkeypatch.setattr(catax.tca, "_screen_block", spy)
-    limit = catax.tca._DIRECT_CLASS_POINTS
-    rng = np.random.default_rng(8)
-    for n, m in ((4, 3), (limit >> 9, 10), (limit >> 10, 11)):
-        assert n << (m - 1) <= limit
-        tsvd_step_exhaustive(rng.normal(size=(n, m)))
-    assert not blocks
-    tsvd_step_exhaustive(rng.normal(size=((limit >> 9) + 1, 10)))
-    assert blocks
-    blocks.clear()
-    tsvd_step_exhaustive(enum_model(1).D)
-    assert blocks
-
-
 @pytest.mark.parametrize("cap", [1, 4])
 @pytest.mark.parametrize("rtol", [None, 1.0], ids=["default-rtol", "every-class"])
 def test_exhaustive_shortlist_cap(monkeypatch, cap, rtol):
@@ -306,12 +258,11 @@ def test_exhaustive_shortlist_cap(monkeypatch, cap, rtol):
     monkeypatch.setattr(catax.tca, "_SHORTLIST_CAP", cap)
     if rtol is not None:
         monkeypatch.setattr(catax.tca, "_SHORTLIST_RTOL", rtol)
-    for _ in each_path(monkeypatch):
-        rng = np.random.default_rng(11)
-        for _ in range(60):
-            M = rng.integers(-2, 3, size=rng.integers(2, 11, size=2)).astype(float)
-            if M.any():
-                np.testing.assert_array_equal(tsvd_step_exhaustive(M).u, brute_step_u(M))
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        M = rng.integers(-2, 3, size=rng.integers(2, 11, size=2)).astype(float)
+        if M.any():
+            np.testing.assert_array_equal(tsvd_step_exhaustive(M).u, brute_step_u(M))
 
 
 def enum_model(seed):
@@ -352,54 +303,47 @@ def test_exhaustive_step_starts_no_thread(monkeypatch, models30):
         tca_decompose(model)
 
 
-def test_exhaustive_scale_invariant(models30, monkeypatch):
+def test_exhaustive_scale_invariant(models30):
     # Power-of-two scaling is exact, so the tie window, being relative to
     # sum|R|, must shortlist the same classes: same u, delta scaled exactly.
     # At 2^40 an absolute window would be narrower than the rounding of the
-    # tied classes' scores and drop some of them.  So on the integer screen
-    # and on the exact pass alone.
+    # tied classes' scores and drop some of them.
     residuals = []
     for model in models30[:10]:
         step = tsvd_step_exhaustive(model.D)
         residuals.append(model.D)
         residuals.append(model.D - np.outer(model.D @ step.u, step.v @ model.D) / step.delta)
     residuals.extend(tie_heavy_matrices(np.random.default_rng(7), 20))
-    for _ in each_path(monkeypatch):
-        for R in residuals:
-            base = tsvd_step_exhaustive(R)
-            for scale in (2.0**-30, 2.0**10, 2.0**40):
-                step = tsvd_step_exhaustive(R * scale)
-                np.testing.assert_array_equal(step.u, base.u)
-                assert step.delta == base.delta * scale
+    for R in residuals:
+        base = tsvd_step_exhaustive(R)
+        for scale in (2.0**-30, 2.0**10, 2.0**40):
+            step = tsvd_step_exhaustive(R * scale)
+            np.testing.assert_array_equal(step.u, base.u)
+            assert step.delta == base.delta * scale
 
 
 @pytest.mark.parametrize("exponent", [-600, 600])
 def test_exhaustive_extreme_power_of_two_scales(models30, monkeypatch, exponent):
     # At 2^600 a float32 copy of the residual would overflow and at 2^-600
     # underflow to zero; the screen's power-of-two normalization and step
-    # must keep u and delta exact there too, as must the exact pass alone.
-    # The exhausted-residual floor is scaled with the data, so that only the
-    # scale changes.
+    # must keep u and delta exact there too.  The exhausted-residual floor is
+    # scaled with the data, so that only the scale changes.
     residuals = [model.D for model in models30[:10]]
     residuals.extend(tie_heavy_matrices(np.random.default_rng(17), 10))
+    bases = [tsvd_step_exhaustive(R) for R in residuals]
     floor = np.ldexp(catax.tca._DELTA_FLOOR, exponent)
-    for _ in each_path(monkeypatch):
-        bases = [tsvd_step_exhaustive(R) for R in residuals]
-        with monkeypatch.context() as patch:
-            patch.setattr(catax.tca, "_DELTA_FLOOR", floor)
-            for R, base in zip(residuals, bases):
-                step = tsvd_step_exhaustive(np.ldexp(R, exponent))
-                np.testing.assert_array_equal(step.u, base.u)
-                assert step.delta == np.ldexp(base.delta, exponent)
+    monkeypatch.setattr(catax.tca, "_DELTA_FLOOR", floor)
+    for R, base in zip(residuals, bases):
+        step = tsvd_step_exhaustive(np.ldexp(R, exponent))
+        np.testing.assert_array_equal(step.u, base.u)
+        assert step.delta == np.ldexp(base.delta, exponent)
 
 
-def test_exhaustive_sub_float32_near_ties(monkeypatch):
+def test_exhaustive_sub_float32_near_ties():
     # Small-integer tie-heavy matrices with 2^-40 added to one entry: the
-    # integer screen, forced on these small steps, cannot see the change and
-    # ties the classes exactly, the float64 re-score breaks the tie, and u
-    # must be the brute-force first maximizer.  Some perturbations must move
-    # it, or the test shows nothing.
-    monkeypatch.setattr(catax.tca, "_DIRECT_CLASS_POINTS", 0)
+    # integer screen cannot see the change and ties the classes exactly, the
+    # float64 re-score breaks the tie, and u must be the brute-force first
+    # maximizer.  Some perturbations must move it, or the test shows nothing.
     rng = np.random.default_rng(40)
     moved = 0
     for M in tie_heavy_matrices(rng, 200)[::2]:  # the integers, not the thirds
@@ -530,11 +474,10 @@ def test_step_rejects_non_finite_residual(step, bad):
 
 
 def screened(monkeypatch):
-    """Screen every step, however small, splitting its classes into two low
-    bits and blocks of at most 40 elements, and return a thread-local record
-    whose ``candidates`` list gets the candidate codes that each exhaustive
-    step on that thread hands its exact pass."""
-    monkeypatch.setattr(catax.tca, "_DIRECT_CLASS_POINTS", 0)
+    """Split the screen's classes into two low bits and blocks of at most 40
+    elements, and return a thread-local record whose ``candidates`` list
+    gets the candidate codes that each exhaustive step on that thread hands
+    its exact pass."""
     monkeypatch.setattr(catax.tca, "_LOW_BITS", 2)
     monkeypatch.setattr(catax.tca, "_BLOCK_ELEMENTS", 40)
     record = threading.local()
