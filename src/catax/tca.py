@@ -22,12 +22,14 @@ of its two rounded halves' exact L1 norms, so the screen skips every class
 whose bound falls below a score already seen less the window: such a class
 lies outside the window too.  It scores a block of classes one chunk of
 points at a time, through a buffer of ``chunk x block`` elements sized to
-stay in cache whatever n is.  The screen runs on the calling thread, and its
-partial sums are formed by ``np.einsum`` rather than BLAS, so each score is
-the same on any BLAS kernel.  Larger problems use criss-cross ascent
-(``v <- sign(R u)``, ``u <- sign(R^T v)``; Choulakian, Psychometrika 71(2),
-2006) from deterministic and seeded random starts, all advanced together:
-each half-step is one matrix-matrix product over every start still moving.
+stay in cache whatever n is, and keeps of each block only the classes at or
+above the best score so far less the window, no score per class.  It runs
+on the calling thread, and its partial sums are formed by ``np.einsum``
+rather than BLAS, so each score is the same on any BLAS kernel.  Larger
+problems use criss-cross ascent (``v <- sign(R u)``, ``u <- sign(R^T v)``;
+Choulakian, Psychometrika 71(2), 2006) from deterministic and seeded random
+starts, all advanced together: each half-step is one matrix-matrix product
+over every start still moving.
 Both solvers then apply one finalist rule to their candidates (surviving
 classes or distinct fixed points, in lexicographic order): keep those whose
 float64 bulk score is within ``1e-9 * sum|R|`` of the best, re-score them one
@@ -93,9 +95,9 @@ _LOW_BITS = 12
 _BLOCK_ELEMENTS = 1 << 21
 # The integer screen sums at most this many points, g, in int16 before it
 # adds the chunk's sum to the class's int32 score.  The step is set from the
-# heaviest chunk's share of sum|Ms|, so on a tall table whose mass is spread
+# heaviest chunk's share of sum|M|, so on a tall table whose mass is spread
 # over its points the window of 2 n steps stays near 2 g / (32766 - g) of
-# sum|Ms|, at most twice that as the step is a power of two; 64 keeps a
+# sum|M|, at most twice that as the step is a power of two; 64 keeps a
 # 50-point table in one chunk.
 _CHUNK_POINTS = 64
 
@@ -213,21 +215,25 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     splits x into a high half (the fixed ``x_0 = +1`` and the ``m - 1 - l``
     most significant free bits, code ``a``) and a low half (the other ``l``
     bits, code ``b``), so its score is ``sum_i |P[i, a] + Q[i, b]|`` with
-    ``Q = Ms_l X_l^T`` and ``P = Ms_h X_h^T``, the latter one claim of codes
-    at a time: ``I * 2^(m-1)`` additions in place of the dense
-    ``I * m * 2^(m-1)`` multiply-adds.  ``Ms = M / h`` is ``M``
-    in steps of ``h``, a power of two set from the points' share of
-    ``sum|M|`` so that no int16 sum over a chunk of ``_CHUNK_POINTS`` points
-    can pass 2^15 - 1: an exact scaling.  ``P`` and ``Q`` are formed in
-    float64 by ``np.einsum``, which calls no BLAS, so they do not depend on
-    the BLAS kernel, and rounded to int16; the chunk sums are added in
-    int32.  Integer sums are exact in any order, so the screen decides alike
-    at every power-of-two scale, block size and chunk.  It runs on the
-    calling thread, taking the high codes in turn and screening a block of
-    classes at a time, one chunk of points at a time, through one buffer of
-    ``chunk x block`` elements: the block is set from the chunk, so the
-    buffer stays within a quarter of ``_BLOCK_ELEMENTS`` however many points
-    there are.
+    ``Q = M_l (X_l / h)^T`` and ``P = M_h (X_h / h)^T``, the latter one
+    claim of codes at a time: ``I * 2^(m-1)`` additions in place of the
+    dense ``I * m * 2^(m-1)`` multiply-adds.  They are ``M`` in steps of
+    ``h``, a power of two set from the points' share of ``sum|M|`` so that
+    no int16 sum over a chunk of ``_CHUNK_POINTS`` points can pass 2^15 - 1;
+    the step rides on the sign tables, an exact scaling, so no scaled copy
+    of ``M`` is made.  ``P`` and ``Q`` are formed in float64 by
+    ``np.einsum``, which calls no BLAS, so they do not depend on the BLAS
+    kernel, and rounded to int16; the chunk sums are added in int32.
+    Integer sums are exact in any order, so the screen decides alike at
+    every power-of-two scale, block size and chunk.  It runs on the calling
+    thread, taking the high codes in turn and screening a block of classes
+    at a time, one chunk of points at a time, through one buffer of ``chunk
+    x block`` elements: the block is set from the chunk, so the buffer stays
+    within a quarter of ``_BLOCK_ELEMENTS`` however many points there are.
+    Of each block it keeps the codes and scores of the classes at or above
+    the best score so far less the window, narrowed to the final best less
+    the window at the end: it holds no score per class, only its block-sized
+    working set and these survivors, whatever ``m`` and ``n`` are.
 
     The screen skips the classes that cannot reach its window (branch and
     bound; Land & Doig, Econometrica 28(3), 1960).  By the triangle
@@ -254,8 +260,8 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     npoints, m = M.shape
     A = np.abs(M)
     total = A.sum()
-    if total == 0:
-        return np.ones(m)  # zero residual: every class ties at 0
+    if total < _DELTA_FLOOR:
+        return np.ones(m)  # exhausted residual, as in _exact_pass: every class is below
     # The step h = 2^e.  In steps, a point's |P + Q| is at most its row's
     # sum|M| over h, plus one for the rounding of P and Q (half a step each),
     # so a chunk of g points sums to at most its share of sum|M| over h, plus
@@ -273,57 +279,59 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     del A  # not held through the screen
     frac, exp = math.frexp(math.ldexp(share, -e) / (32766 - chunk))
     e += exp - (frac == 0.5)  # at frac = 0.5 the quotient is 2^(exp - 1)
-    Ms = np.ldexp(M, -e)  # M in steps, exactly
     # Window, in steps.  Rounding P and Q to whole steps moves each point's
     # |P + Q| by at most one, so a class's integer score is within n of its
     # float64-formed score.  P and Q are float64 sums of signed entries of
-    # Ms, each sign exact; einsum adds them in its own order, and a sum of k
-    # terms in any order is off by at most gamma_(k-1) times the sum of their
-    # magnitudes (gamma_k = k u / (1 - k u), u = 2^-53; Higham, Accuracy and
-    # Stability, section 4.2).  So P and Q together, over the points, are off
-    # the exact score by at most gamma_m * S (S = sum|Ms|), and the exact
-    # pass's bulk scores, m-term products summed over n points, by at most
-    # gamma_(n+m) * S: both within (n + 2m) * 2^-52 * S.  A finalist scores
-    # within _SHORTLIST_RTOL * S of the best bulk score, so its integer score
-    # lies within twice the sum of those bounds, plus _SHORTLIST_RTOL * S, of
-    # the integer maximum: W steps, 2n of them for the rounding.  A class
-    # whose bound SP + SQ falls below a score seen less W lies below the
-    # maximum less W, outside the window, and is not scored.
-    # The _SHORTLIST_RTOL term stays below one step at the default; tests
-    # raise it to make every class a candidate.
+    # M / h, each sign exact; einsum adds them in its own order, and a sum of
+    # k terms in any order is off by at most gamma_(k-1) times the sum of
+    # their magnitudes (gamma_k = k u / (1 - k u), u = 2^-53; Higham,
+    # Accuracy and Stability, section 4.2).  So P and Q together, over the
+    # points, are off the exact score by at most gamma_m * S (S = sum|M| /
+    # h), and the exact pass's bulk scores, m-term products summed over n
+    # points, by at most gamma_(n+m) * S: both within (n + 2m) * 2^-52 * S.
+    # A finalist scores within _SHORTLIST_RTOL * S of the best bulk score, so
+    # its integer score lies within twice the sum of those bounds, plus
+    # _SHORTLIST_RTOL * S, of the integer maximum: W steps, 2n of them for
+    # the rounding.  A class whose bound SP + SQ falls below a score seen
+    # less W lies below the maximum less W, outside the window, and is not
+    # scored.  The _SHORTLIST_RTOL term stays below one step at the default;
+    # tests raise it to make every class a candidate.
     S = math.ldexp(total, -e)  # sum|M| in steps
     W = 2 * npoints + math.ceil(((npoints + 2 * m) * 2.0**-51 + _SHORTLIST_RTOL) * S)
     low = min(m - 1, _LOW_BITS, max(0, (_BLOCK_ELEMENTS // npoints).bit_length() - 1))
     high = m - 1 - low
     codes = 1 << (m - 1)
-    # Q's sign table is transposed to be contiguous, which einsum runs about
-    # twice as fast; P keeps one row per code, the layout in which einsum
-    # gives each code the same sum however many codes share the call, so SP
-    # below bounds the P that the screen forms.  Q is summed in float64 and
-    # rounded a row block at a time: no float64 copy of it is held.  Low code
-    # 2^l - 1 - b flips every sign of code b, and negation is exact in each
-    # product, sum and rounding, so only the first half of Q is summed.
+    # The sign tables carry the step, X * 2^-e, so each product with M is an
+    # entry of M / h rounded as np.ldexp(M, -e) rounds it, and no scaled copy
+    # of M is made (2^-e is finite, as sum|M| >= _DELTA_FLOOR).  Q's table is
+    # transposed to be contiguous, which einsum runs about twice as fast; P
+    # keeps one row per code, the layout in which einsum gives each code the
+    # same sum however many codes share the call, so SP below bounds the P
+    # that the screen forms.  Q is summed in float64 and rounded a row block
+    # at a time: no float64 copy of it is held.  Low code 2^l - 1 - b flips
+    # every sign of code b, and negation is exact in each product, sum and
+    # rounding, so only the first half of Q is summed.
     half = (1 << low) >> 1
-    XT = np.ascontiguousarray(_signs(np.arange(half), low + 1)[:, 1:].T)
+    XT = np.ascontiguousarray(np.ldexp(_signs(np.arange(half), low + 1)[:, 1:].T, -e))
     Q = np.zeros((npoints, 1 << low), dtype=np.int16)  # one zero column at l = 0
     for b in _row_blocks(npoints, 1 << low):
-        Q[b, :half] = np.rint(np.einsum("ij,jk->ik", Ms[b, high + 1 :], XT))
+        Q[b, :half] = np.rint(np.einsum("ij,jk->ik", M[b, high + 1 :], XT))
         Q[b, half:] = -Q[b, half - 1 :: -1]
     del XT  # not held through the screen
 
     def high_half(a: np.ndarray) -> np.ndarray:
         """P of the high codes ``a``, one column each, in whole steps."""
-        Pa = np.einsum("ij,kj->ik", Ms[:, : high + 1], _signs(a, high + 1))
+        Pa = np.einsum("ij,kj->ik", M[:, : high + 1], np.ldexp(_signs(a, high + 1), -e))
         return np.rint(Pa, out=Pa)
 
-    # The high codes by descending SP and the low codes by descending SQ,
-    # the ranks in which the screen takes them.  The first claim of the
-    # screen below scores every class of the top high code, so a screen of
-    # one high code needs neither order.
-    hi = np.arange(1 << high)
+    # The codes of the high ranks by descending SP and of the low ranks by
+    # descending SQ, the order in which the screen takes them.  The first
+    # claim of the screen below scores every class of the top high code, so
+    # a screen of one high code needs neither order: its ranks are its codes.
+    hi, lo = np.arange(1 << high), np.arange(1 << low)
     if high:
         SP = np.empty(1 << high, dtype=np.int64)
-        per = max(1, _BLOCK_ELEMENTS // 2 // npoints)  # float64 within the screen's budget
+        per = max(1, (_BLOCK_ELEMENTS >> 2) // npoints)  # float64 within the screen's budget
         for a0 in range(0, 1 << high, per):
             Pa = high_half(np.arange(a0, min(a0 + per, 1 << high)))
             SP[a0 : a0 + per] = np.abs(Pa, out=Pa).sum(axis=0)
@@ -355,10 +363,10 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
     P = np.empty((npoints, most), dtype=np.int16)
     buf = np.empty(chunk * block, dtype=np.int16)
     part = np.empty(block, dtype=np.int16)
-    # Scores by rank: those of classes hi[r] * 2^l + lo[s] at [r, s].  Only
-    # the scored blocks are written, and only they are read back.
-    vals = np.empty((1 << high, 1 << low), dtype=np.int32)
-    scored: list[tuple[int, int, np.ndarray, int]] = []  # (r, s, scores, top)
+    scores = np.empty(block, dtype=np.int32)  # one block's
+    # (codes, scores) of each block's classes at or above the best score so
+    # far less W: a superset of the window, as the best only rises
+    survivors: list[tuple[np.ndarray, np.ndarray]] = []
     best = 0  # the best score so far, or 0: at most the maximum
     # The high ranks r0 to r1 are screened against the first nb low ranks.
     # The first claim is the top code alone, against every low code, so that
@@ -370,11 +378,13 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
         P[:, : r1 - r0] = high_half(hi[r0:r1])
         width = block // (r1 - r0)  # low ranks per block
         for s0 in range(0, nb, width):
-            out = vals[r0:r1, s0 : min(nb, s0 + width)]
+            out = scores[: (r1 - r0) * min(width, nb - s0)].reshape(r1 - r0, -1)
             _screen_block(P[:, : r1 - r0], Q[:, s0 : s0 + out.shape[1]], chunk, buf, part, out)
             top = int(out.max())
-            scored.append((r0, s0, out, top))
             best = max(best, top)
+            if top >= best - W:
+                r, s = np.nonzero(out >= best - W)
+                survivors.append((hi[r0 + r] << low | lo[s0 + s], out[r, s]))
         r0 = r1
         if r0 == 1 << high:
             break
@@ -384,21 +394,9 @@ def _enumerate_max(M: np.ndarray) -> np.ndarray:
             break
         r1 = min(r0 + min(most, block // nb), 1 << high)  # nb <= 2^l <= block
     floor = best - W  # best is the maximum: every scored block updated it
-
-    def window(r0: int, s0: int, out: np.ndarray) -> np.ndarray:
-        """Flat ranks, r * 2^l + s, of the block's classes in the window."""
-        i = np.flatnonzero(out >= floor)
-        if out.shape[1] < 1 << low:  # out's rows are not whole rows of vals
-            i += i // out.shape[1] * ((1 << low) - out.shape[1])
-        return i + (r0 << low) + s0
-
-    candidates = np.concatenate(
-        [window(r0, s0, out) for r0, s0, out, top in scored if top >= floor]
-    )
-    del vals, scored, out, Ms, Q, P, buf, part  # not held through the exact pass
-    if high:  # ranks to codes; with one high code they are the codes
-        candidates = hi[candidates >> low] << low | lo[candidates & ((1 << low) - 1)]
-        candidates.sort()
+    candidates = np.concatenate([c[s >= floor] for c, s in survivors])
+    del Q, P, buf, part, scores, out, survivors  # not held through the exact pass
+    candidates.sort()
     return _exact_pass(M, candidates, total)
 
 

@@ -492,6 +492,32 @@ def test_absent_flags_take_config_defaults():
     assert AnalysisConfig(**vars(namespace)) == AnalysisConfig("x.csv")
 
 
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    # main parses every run with the parser it built on its first; a bad
+    # flag on a later run still fails as on the first.  build_parser itself
+    # returns a new parser on each call.
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(catax.cli, "build_parser", counted)
+    catax.cli._parser.cache_clear()
+    path = write_csv(tmp_path, COUNTS)
+    outputs = []
+    for _ in range(2):
+        assert main(["--input", path]) == 0
+        outputs.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            main(["--input", path, "--dims", "x"])
+        assert exc.value.code == 1
+        assert "argument --dims: invalid int value: 'x'" in capsys.readouterr().err
+    assert outputs[0] == outputs[1]
+    assert len(built) == 1 and catax.cli._parser() is built[0]
+    assert build_parser() is not build_parser()
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

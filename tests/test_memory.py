@@ -25,20 +25,26 @@ of them makes a table-sized array.
 
 The exhaustive TCA step's screen is bounded by what it must hold rather than
 by table sizes.  It scores in int16 fixed point, on multiples of a
-power-of-two step, with exact integer sums, so each of its arrays takes at
-most the 4 bytes per element that the bound allows: its int32 scores, one
-slot per sign class in the order it screens them (it writes only the classes
-its bound does not skip); its int16 low-half table, sorted in place, of at
-most ``_BLOCK_ELEMENTS`` elements; and its int16 working set, one chunk of
-at most ``_CHUNK_POINTS`` points by one block of classes, within a quarter
-of ``_BLOCK_ELEMENTS``, beside ``P``, the high half of a claim's codes,
-within another quarter.  A block is sized from the chunk, not from the
-table's rows, so a tall table's block is as wide as a short one's.  The
-classes its window of ``n h`` each way keeps go to the exact pass, which
-holds 16 bytes per candidate (code and float64 score) and one chunk of
-float64 scores and signs within ``4 * _BLOCK_ELEMENTS`` bytes; the screen's
-arrays are freed before it.  Threads that call the step at once share none
-of these arrays, and tracemalloc sees all of their allocations.
+power-of-two step that its sign tables carry, with exact integer sums, and
+holds no scaled copy of the residual and no score per sign class.  It holds
+its int16 low-half table, sorted in place, of at most ``_BLOCK_ELEMENTS``
+elements; its int16 working set, one chunk of at most ``_CHUNK_POINTS``
+points by one block of classes, within a quarter of ``_BLOCK_ELEMENTS``,
+with one block's int16 and int32 sums; ``P``, the int16 high half of a
+claim's codes, within another quarter, and the float64 ``P`` it is rounded
+from, within a quarter of ``_BLOCK_ELEMENTS`` elements (8 bytes each); and
+the survivors, the code (8 bytes) and int32 score of each class at or above
+the best score so far less the window.  So ``4 * _BLOCK_ELEMENTS`` bytes
+plus twice the low-half table cover the screen where few classes come near
+the best; the bounds below that also allow 4 bytes per class leave room
+for survivors, 12 bytes each, on up to a third of the classes.  A block is
+sized from the chunk, not from the table's rows, so a tall table's block is
+as wide as a short one's.  The classes its window of ``n h`` each way keeps
+go to the exact pass, which holds 16 bytes per candidate (code and float64
+score) and one chunk of float64 scores and signs within
+``4 * _BLOCK_ELEMENTS`` bytes; the screen's arrays are freed before it.
+Threads that call the step at once share none of these arrays, and
+tracemalloc sees all of their allocations.
 """
 
 import gc
@@ -180,17 +186,24 @@ def test_exhaustive_screen_heap_peak(workers):
     assert peak <= workers * (scores + buffers + low_table), f"heap peak {peak} bytes"
 
 
-@pytest.mark.parametrize("shape", [(2000, 16), (20000, 16)], ids=["2000x16", "20000x16"])
+@pytest.mark.parametrize(
+    "shape",
+    [(2000, 16), (20000, 16), (100000, 12), (12, 100000)],
+    ids=["2000x16", "20000x16", "100000x12", "12x100000"],
+)
 def test_exhaustive_tall_screen_heap_peak(shape):
     # A block of classes is sized from one chunk of points, not from the
     # table's rows, so on a tall table it stays as wide as on a short one:
     # P, whose columns are the high codes of a claim, must keep within the
     # buffers' bound by its own cap, as must the chunk's buffer.  The
     # low-half table has at most _BLOCK_ELEMENTS elements (2^6 columns at
-    # 20000 rows), so the bound allows no more than that for it.
+    # 20000 rows), so the bound allows no more than that for it.  At 100000
+    # points the float64 P from which the screen rounds its int16 P is as
+    # large as the buffers' bound allows, and no float64 copy of the residual
+    # may sit beside it; the wide table is enumerated on its transpose.
     counts = np.random.default_rng(16).poisson(5.0, size=shape).astype(float)
     D = build_model(table_from_counts(counts)).D
-    npoints, m = D.shape
+    npoints, m = max(D.shape), min(D.shape)  # the enumerated side is m
     scores = 4 << (m - 1)
     buffers = 4 * catax.tca._BLOCK_ELEMENTS
     low_table = min(4 * npoints << catax.tca._LOW_BITS, 4 * catax.tca._BLOCK_ELEMENTS)
@@ -200,6 +213,24 @@ def test_exhaustive_tall_screen_heap_peak(shape):
     finally:
         tracemalloc.stop()
     assert peak <= scores + buffers + low_table, f"heap peak {peak} bytes"
+
+
+def test_enumeration_heap_peak_past_the_limit():
+    # At m = 24, past the limit that tsvd_step_exhaustive enforces, the
+    # screen still holds only its block-sized working set, its low-half
+    # table and the survivors of its window: nothing with one slot per sign
+    # class, which at 2^23 classes would take 32 MiB as int32 scores alone.
+    counts = np.random.default_rng(17).poisson(5.0, size=(30, 24)).astype(float)
+    M = build_model(table_from_counts(counts)).D
+    npoints, m = M.shape
+    buffers = 4 * catax.tca._BLOCK_ELEMENTS
+    low_table = 4 * npoints << catax.tca._LOW_BITS
+    tracemalloc.start()
+    try:
+        peak, _ = heap_peak(lambda: catax.tca._enumerate_max(M))
+    finally:
+        tracemalloc.stop()
+    assert peak <= buffers + low_table, f"heap peak {peak} bytes"
 
 
 def test_exhaustive_exact_pass_heap_peak():

@@ -290,6 +290,57 @@ def test_enum_model_certified_vectors(seed):
         np.testing.assert_array_equal(u * u[0], shifted_signs(np.array([code]), 20)[0])
 
 
+def tied_model(seed):
+    """A near-independent 40 x 18 model, built as the tied40x18 benchmark
+    table is: a rank-one table of ~1e9-sized cells plus Poisson(1) noise."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(5, 40, size=40).astype(float)
+    b = rng.integers(5, 40, size=18).astype(float)
+    counts = np.outer(a, b) * 1e6 + rng.poisson(1.0, size=(40, 18))
+    return build_model(table_from_counts(counts))
+
+
+# The certified u of the first three axes of tied_model(1) to (3), as the
+# enumeration code of ``u * u[0]``.
+TIED_MODEL_CODES = {
+    1: [30757, 43291, 52660],
+    2: [75065, 68062, 30146],
+    3: [29092, 66543, 78357],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TIED_MODEL_CODES))
+def test_tied_model_certified_vectors(seed):
+    # The benchmark's recorded digests do not cover these near-independent
+    # tables, whose residuals are about 1e-9 in size, so this pins their
+    # certified vectors: whatever the screen keeps or skips, they must not
+    # move.
+    dec = tca_decompose(tied_model(seed), k=3)
+    for (u, _), code in zip(dec.sign_vectors, TIED_MODEL_CODES[seed]):
+        np.testing.assert_array_equal(u * u[0], shifted_signs(np.array([code]), 18)[0])
+
+
+def test_enumeration_past_the_limit_is_brute_force_argmax():
+    # The enumeration keeps no array with one slot per class, and nothing in
+    # it stops at EXHAUSTIVE_LIMIT: at m = 22 the u of a 24 x 22 residual
+    # must be the argmax of all 2^21 classes, scored a block of codes at a
+    # time.  Its best class leads the next by far more than any rounding, so
+    # the argmax is the lexicographically first maximizer.
+    counts = np.random.default_rng(31).poisson(5.0, size=(24, 22)).astype(float)
+    M = build_model(table_from_counts(counts)).D
+    m = M.shape[1]
+    top = []  # (score, code) of each block's two best classes
+    for c0 in range(0, 1 << (m - 1), 1 << 15):
+        codes = np.arange(c0, c0 + (1 << 15))
+        scores = np.abs(M @ shifted_signs(codes, m).T).sum(axis=0)
+        two = np.argpartition(scores, -2)[-2:]
+        top.extend(zip(scores[two], codes[two]))
+    (second, _), (best, code) = sorted(top)[-2:]
+    assert best - second > 1e-6 * np.abs(M).sum()
+    u = catax.tca._enumerate_max(M)
+    np.testing.assert_array_equal(u, shifted_signs(np.array([code]), m)[0])
+
+
 def test_exhaustive_step_starts_no_thread(monkeypatch, models30):
     # The screen runs on the calling thread, one block or many: a 50 x 20
     # table spans several blocks at the default size.
