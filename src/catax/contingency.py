@@ -173,6 +173,8 @@ class ContingencyTable:
         if len(self.row_labels) != I or len(self.col_labels) != J:
             raise InvalidTableError("label lengths do not match counts shape")
         for name, labels in (("row", self.row_labels), ("column", self.col_labels)):
+            if not all(isinstance(label, str) for label in labels):
+                raise InvalidTableError(f"{name} labels must be str")
             if len(set(labels)) != len(labels):
                 raise InvalidTableError(f"duplicate {name} label")
         # two passes decide all three checks: a NaN cell makes both extremes

@@ -56,7 +56,7 @@ class FactorDecomposition:
         if self.method not in (CA, TCA):
             raise ValueError(f"method must be {CA!r} or {TCA!r}, got {self.method!r}")
         deltas = np.asarray(self.deltas, dtype=float)
-        if deltas.ndim != 1 or np.any(deltas <= 0):
+        if deltas.ndim != 1 or not np.all((deltas > 0) & (deltas < np.inf)):  # NaN fails both
             raise ValueError("deltas must be a 1-d vector of positive values")
         k = deltas.size
         if k > self.rank:

@@ -35,8 +35,9 @@ classes or distinct fixed points, in lexicographic order): keep those whose
 float64 bulk score is within ``1e-9 * sum|R|`` of the best, re-score them one
 by one as ``||R u||_1`` and take the first maximum.
 
-This module holds the two step solvers and `tca_decompose`; the taxicab
-distances and the total dispersion are in `catax.distortion`.
+This module holds the two step solvers and `tca_decompose`, which runs each
+enumerated axis through `tsvd_step_exhaustive`; the taxicab distances and
+the total dispersion are in `catax.distortion`.
 """
 
 from __future__ import annotations
@@ -438,26 +439,24 @@ def tsvd_step_exhaustive(residual: np.ndarray) -> TsvdStepResult:
     """
     R = _finite_residual(residual)
     _check_enumerable(R.shape)
-    return _exhaustive_step(R)[0]
+    if R.shape[1] <= R.shape[0]:
+        u = _enumerate_max(R)
+    else:
+        u = _sign(R.T @ _enumerate_max(R.T))
+    return _step_result(R, u, certified=True)[0]
+
+
+def _enumerable(shape: tuple[int, int]) -> bool:
+    """Whether the smaller side is within ``EXHAUSTIVE_LIMIT``."""
+    return min(shape) <= EXHAUSTIVE_LIMIT
 
 
 def _check_enumerable(shape: tuple[int, int]) -> None:
     """Raise ValueError if the smaller side exceeds ``EXHAUSTIVE_LIMIT``."""
-    if min(shape) > EXHAUSTIVE_LIMIT:
+    if not _enumerable(shape):
         raise ValueError(
             f"smaller axis {min(shape)} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}"
         )
-
-
-def _exhaustive_step(R: np.ndarray) -> tuple[TsvdStepResult, np.ndarray]:
-    """`tsvd_step_exhaustive` of a finite ``R`` within the limit, and ``R u``."""
-    I, J = R.shape
-    if J <= I:
-        u = _enumerate_max(R)
-    else:
-        v = _enumerate_max(R.T)
-        u = _sign(R.T @ v)
-    return _step_result(R, u, certified=True)
 
 
 def _criss_cross(R: np.ndarray, U: np.ndarray, tol: float) -> np.ndarray:
@@ -578,16 +577,14 @@ def tsvd_step_iterative(
     Starting points are the signs of the first ``min(10, I, J)`` right
     singular vectors of the residual, taken from one ``eigh`` of its
     smaller-side Gram matrix (see `_start_signs`), plus ``restarts`` seeded
-    random sign vectors.  This step forms that Gram matrix itself.  The steps
-    of `tca_decompose` share one Gram per decomposition instead, deflated
-    from axis to axis by a rank-two update and formed again only when its
-    trace falls below 0.9 of its trace at the last formation.  Each
-    half-step cannot decrease ``||R u||_1``, so every start reaches a fixed
-    point.  All starts ascend together in one J x n matrix, one
-    matrix-matrix product per half-step (`_criss_cross`; Dongarra et al.,
-    ACM TOMS 16(1), 1990).  The distinct fixed points, in lexicographic
-    order with their batched objectives as bulk scores, go through the
-    finalist rule, so the order of the starts does not matter.
+    random sign vectors.  This step forms that Gram matrix itself; the steps
+    of `tca_decompose` share one per decomposition.  Each half-step cannot
+    decrease ``||R u||_1``, so every start reaches a fixed point.  All
+    starts ascend together in one J x n matrix, one matrix-matrix product
+    per half-step (`_criss_cross`; Dongarra et al., ACM TOMS 16(1), 1990).
+    The distinct fixed points, in lexicographic order with their batched
+    objectives as bulk scores, go through the finalist rule, so the order of
+    the starts does not matter.
     ``delta = ||R u||_1`` and ``v = sign(R u)``.  Never certified.
 
     Raises
@@ -615,8 +612,9 @@ def tca_decompose(
     k : int, "full" or None
         Number of axes; "full" extracts the numerical rank of ``D``.
     strategy : {"auto", "exhaustive", "iterative"}
-        "auto" enumerates exhaustively when ``min(I, J) <= EXHAUSTIVE_LIMIT``
-        and falls back to criss-cross iteration above it.
+        "auto" enumerates exhaustively when ``min(I, J) <= EXHAUSTIVE_LIMIT``,
+        each axis by `tsvd_step_exhaustive`, and falls back to criss-cross
+        iteration above it.
     restarts, seed
         Iterative-solver controls; each deflation step draws its random
         starts from an independent child of ``seed``.  The iterative steps
@@ -660,7 +658,7 @@ def tca_decompose(
     # a fresh array: the working residual, deflated in place; none for zero axes
     R = model.D if k else None
     I, J = model.shape
-    exhaustive = strategy == "exhaustive" or (strategy == "auto" and min(I, J) <= EXHAUSTIVE_LIMIT)
+    exhaustive = strategy == "exhaustive" or (strategy == "auto" and _enumerable(model.shape))
     # the iterative steps' start Gram, formed at the first step, deflated
     # with R and formed again when its trace falls below _REFORM_TRACE of
     # the trace it was formed with
@@ -675,7 +673,8 @@ def tca_decompose(
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
     for alpha in range(k):
         if exhaustive:
-            step, Ru = _exhaustive_step(R)
+            step = tsvd_step_exhaustive(R)
+            Ru = R @ step.u
         else:
             if G is None or np.trace(G) < _REFORM_TRACE * formed:
                 G = _gram(R)

@@ -8,6 +8,7 @@ from catax import (
     COLS,
     ROWS,
     ContingencyTable,
+    FactorDecomposition,
     benzecri_distance,
     build_model,
     ca_decompose,
@@ -55,6 +56,53 @@ def test_independence_gives_empty_decomposition():
 def test_k_exceeds_rank():
     with pytest.raises(ValueError, match="exceeds numerical rank"):
         ca_decompose(DIAG_MODEL, k=2)
+
+
+def test_negative_k_rejected():
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        ca_decompose(DIAG_MODEL, k=-1)
+
+
+# the fields of a valid two-axis CA decomposition of a 3 x 3 table
+DECOMPOSITION_FIELDS = dict(
+    method="CA",
+    deltas=[0.5, 0.25],
+    row_scores=np.zeros((3, 2)),
+    col_scores=np.zeros((3, 2)),
+    rank=2,
+    row_labels=("a", "b", "c"),
+    col_labels=("x", "y", "z"),
+)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"method": "PCA"}, "method must be"),
+        ({"deltas": [[0.5, 0.25]]}, "1-d vector"),
+        ({"deltas": [0.5, 0.0]}, "positive values"),
+        ({"deltas": [0.5, np.nan]}, "positive values"),
+        ({"deltas": [np.inf, 0.25]}, "positive values"),
+        ({"rank": 1}, "exceeds numerical rank"),
+        ({"deltas": [0.25, 0.5]}, "non-increasing"),
+        ({"row_scores": np.zeros((3, 1))}, "one column per axis"),
+        ({"col_scores": np.zeros((3, 3))}, "one column per axis"),
+        ({"row_labels": ("a", "b")}, "one row label"),
+        ({"col_labels": ("x", "y", "z", "w")}, "one column label"),
+        ({"sign_vectors": ()}, "exactly when method is TCA"),
+        ({"method": "TCA"}, "exactly when method is TCA"),
+        ({"method": "TCA", "sign_vectors": ((np.ones(3), np.ones(3)),)}, "one \\(u, v\\) pair"),
+    ],
+    ids=[
+        "method", "2-d-deltas", "zero-delta", "nan-delta", "inf-delta", "k-above-rank",
+        "ca-increasing", "row-score-columns", "col-score-columns", "row-labels",
+        "col-labels", "ca-sign-vectors", "tca-without-sign-vectors", "sign-vector-pairs",
+    ],
+)
+def test_decomposition_validation(changes, message):
+    FactorDecomposition(**DECOMPOSITION_FIELDS)  # valid as it stands
+    with pytest.raises(ValueError, match=message):
+        FactorDecomposition(**{**DECOMPOSITION_FIELDS, **changes})
 
 
 def test_independence_rejects_positive_k():

@@ -532,6 +532,8 @@ def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
         {"rel_tol": float("nan")},
         {"rel_tol": float("inf")},
         {"dims": 1, "map_path": "m.svg"},
+        {"axis": "diag"},
+        {"tca_strategy": "greedy"},
     ],
 )
 def test_config_validation(kwargs):

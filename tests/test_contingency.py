@@ -507,6 +507,7 @@ def test_size_checked_before_all_zero_lines(caplog, text, size, drop_empty):
         "A,x,y\nr1,2,0\nr2,0,0,2,4",  # ragged row (too long)
         "",  # empty input
         "justoneword",  # no delimiter
+        "A,x,y\n",  # header only
     ],
 )
 def test_malformed_inputs_rejected(text):
@@ -656,12 +657,20 @@ def test_counts_are_read_only():
 
 
 def test_table_validation_direct():
-    with pytest.raises(InvalidTableError):
-        ContingencyTable(("a", "b"), ("x", "y"), np.array([[1.0, -2.0], [0.0, 1.0]]))
-    with pytest.raises(InvalidTableError):
-        ContingencyTable(("a",), ("x", "y"), np.array([[1.0, 2.0]]))
-    with pytest.raises(InvalidTableError):
-        ContingencyTable(("a", "b"), ("x", "y"), np.zeros((2, 2)))
+    ones = np.ones((2, 2))
+    for rows, cols, counts, message in [
+        (("a", "b"), ("x", "y"), [[1.0, -2.0], [0.0, 1.0]], "nonnegative"),
+        (("a",), ("x", "y"), [[1.0, 2.0]], "at least 2x2"),
+        (("a", "b"), ("x", "y"), np.zeros((2, 2)), "grand total"),
+        (("a", "b"), ("x", "y"), [1.0, 2.0], "2-d"),
+        (("a", "b", "c"), ("x", "y"), ones, "label lengths"),
+        (("a", "b"), ("x",), ones, "label lengths"),
+        ((1, 2), ("x", "y"), ones, "row labels must be str"),
+        (("a", "b"), ("x", None), ones, "column labels must be str"),
+        ((b"a", b"b"), ("x", "y"), ones, "row labels must be str"),
+    ]:
+        with pytest.raises(InvalidTableError, match=message):
+            ContingencyTable(rows, cols, np.array(counts))
 
 
 @pytest.mark.parametrize(
@@ -786,7 +795,7 @@ def test_derived_residuals_equal_whole_table_expressions():
 
 def test_tca_starts_from_the_derived_residual(monkeypatch):
     first = []
-    for name in ("_exhaustive_step", "_iterative_step"):
+    for name in ("tsvd_step_exhaustive", "_iterative_step"):
         real = getattr(catax.tca, name)
 
         def spy(residual, *args, _real=real, **kwargs):

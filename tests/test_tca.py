@@ -103,6 +103,16 @@ def test_exhaustive_zero_residual():
     assert step.delta == 0.0 and step.certified
 
 
+def test_exhaustive_exhausted_residual_takes_first_class():
+    # sum|M| = 1.6e-12 clears the floor below which the screen is skipped,
+    # but the best class scores 8e-13: the exact pass finds every class
+    # below the floor and returns the first, all +1
+    H = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+    step = tsvd_step_exhaustive(1e-13 * H)
+    np.testing.assert_array_equal(step.u, np.ones(4))
+    assert step.delta < 1e-12
+
+
 def test_exhaustive_threshold():
     with pytest.raises(ValueError, match="exhaustive limit"):
         tsvd_step_exhaustive(np.zeros((21, 21)))
@@ -1019,6 +1029,20 @@ def test_decompose_invariants_random(models30):
         assert dec.k == dec.rank  # full extraction reaches the rank exactly
         assert np.all(dec.deltas > 0)
         check_tca_invariants(model, dec)
+
+
+@pytest.mark.parametrize("strategy", ["auto", "exhaustive"])
+def test_decompose_runs_each_axis_through_the_exhaustive_step(monkeypatch, models30, strategy):
+    # by its module-level name, so a wrapper of the public step sees each axis
+    calls, step = [], catax.tca.tsvd_step_exhaustive
+    monkeypatch.setattr(
+        catax.tca, "tsvd_step_exhaustive", lambda R: calls.append(R.shape) or step(R)
+    )
+    cases = [(model, "full") for model in models30[:10]] + [(poisson_model((50, 20), 1), 3)]
+    for model, k in cases:
+        calls.clear()
+        dec = tca_decompose(model, k=k, strategy=strategy)
+        assert dec.k > 0 and calls == [model.shape] * dec.k
 
 
 def test_full_rank_l1_reconstruction(models30):
